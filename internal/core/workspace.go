@@ -118,17 +118,14 @@ func (ws *karpWS) release() {
 
 // madaniWS is the per-run scratch state of Madani's value iteration: the
 // seed policy, the integer value vector with its parent arcs, and the
-// functional-graph walk buffers of the per-pass parent-cycle scan.
+// buffers of the per-pass parent-cycle scan.
 type madaniWS struct {
 	policy  []graph.ArcID
 	d       []int64
 	parent  []graph.ArcID
-	state   []int32
-	walkPos []int32
-	walk    []graph.NodeID
-	cycle   []graph.ArcID
 	bestCyc []graph.ArcID
 	pc      pcScratch
+	scan    graph.ParentCycles
 }
 
 var madaniPool = sync.Pool{New: func() any { return new(madaniWS) }}
@@ -143,10 +140,6 @@ func getMadaniWS(n int) *madaniWS {
 	ws.policy = grow(ws.policy, n)
 	ws.d = grow(ws.d, n)
 	ws.parent = grow(ws.parent, n)
-	ws.state = grow(ws.state, n)
-	ws.walkPos = grow(ws.walkPos, n)
-	ws.walk = ws.walk[:0]
-	ws.cycle = ws.cycle[:0]
 	ws.bestCyc = ws.bestCyc[:0]
 	return ws
 }
@@ -154,51 +147,6 @@ func getMadaniWS(n int) *madaniWS {
 func (ws *madaniWS) release() {
 	if ws != nil && !disableWorkspacePools.Load() {
 		madaniPool.Put(ws)
-	}
-}
-
-// scanParentCycles finds every cycle of the parent graph (ws.parent: at most
-// one in-arc per node, -1 for none) in O(n) and calls fn once per cycle with
-// the arcs in forward order; the slice is reused across calls. During value
-// iteration on reduced costs any such cycle is negative — the contraction
-// candidates of Madani's acceleration.
-func (ws *madaniWS) scanParentCycles(g *graph.Graph, fn func(cycle []graph.ArcID)) {
-	n := len(ws.parent)
-	state, walkPos := ws.state, ws.walkPos
-	for i := range state {
-		state[i] = 0
-	}
-	walk := ws.walk[:0]
-	cycle := ws.cycle[:0]
-	defer func() { ws.walk, ws.cycle = walk, cycle }()
-	for root := 0; root < n; root++ {
-		if state[root] != 0 || ws.parent[root] < 0 {
-			continue
-		}
-		walk = walk[:0]
-		v := graph.NodeID(root)
-		for state[v] == 0 && ws.parent[v] >= 0 {
-			state[v] = 1
-			walkPos[v] = int32(len(walk))
-			walk = append(walk, v)
-			v = g.Arc(ws.parent[v]).From
-		}
-		if state[v] == 1 {
-			// walk[walkPos[v]:] closes a cycle in parent (reverse)
-			// orientation: parent[walk[i]] runs walk[i+1] → walk[i], with the
-			// last element's parent leaving walk[walkPos[v]]. Emitting the
-			// segment's parent arcs in reverse walk order yields the forward
-			// cycle.
-			start := walkPos[v]
-			cycle = cycle[:0]
-			for i := int32(len(walk)) - 1; i >= start; i-- {
-				cycle = append(cycle, ws.parent[walk[i]])
-			}
-			fn(cycle)
-		}
-		for _, u := range walk {
-			state[u] = 2
-		}
 	}
 }
 

@@ -47,44 +47,6 @@ func transitDenominatorBound(g *graph.Graph) int64 {
 	return sum
 }
 
-// scaledRatioOverflows reports whether Bellman–Ford on weights q·w − p·t can
-// overflow int64 for this graph (per-arc magnitude times n+1 passes must
-// stay inside 2^62, matching core.scaledOverflows).
-func scaledRatioOverflows(g *graph.Graph, p, q int64) bool {
-	minW, maxW := g.WeightRange()
-	absW := maxW
-	if -minW > absW {
-		absW = -minW
-	}
-	var maxT int64
-	for _, a := range g.Arcs() {
-		t := a.Transit
-		if t < 0 {
-			t = -t
-		}
-		if t > maxT {
-			maxT = t
-		}
-	}
-	absP := p
-	if absP < 0 {
-		absP = -absP
-	}
-	if absW != 0 && q > (1<<62)/absW {
-		return true
-	}
-	if maxT != 0 && absP > (1<<62)/maxT {
-		return true
-	}
-	perArc := q*absW + absP*maxT
-	if perArc < 0 {
-		return true
-	}
-	n := int64(g.NumNodes()) + 1
-	const safe = int64(1) << 62
-	return perArc > safe/n
-}
-
 // certifyRatio verifies and, if needed, exactifies a minimization result in
 // place; see core's certifyMean. On success res carries a Certificate with
 // Value = ρ* and a witness cycle whose exact ratio equals it. The outcome is
@@ -136,11 +98,13 @@ func certifyRatioProof(g *graph.Graph, res *Result) error {
 	if !ok || !cycVal.Equal(value) {
 		return fmt.Errorf("%w: witness cycle ratio %v does not equal claimed ρ* = %v", ErrCertification, cycVal, value)
 	}
-	p, q := value.Num(), value.Den()
-	if scaledRatioOverflows(g, p, q) {
-		return fmt.Errorf("%w: feasibility check at ρ = %v would overflow", ErrNumericRange, value)
+	o := newOracle(g, core.Options{}, &res.Counts)
+	neg, _, err := o.Probe(value.Num(), value.Den())
+	o.Close()
+	if err != nil {
+		return err
 	}
-	if neg, _ := hasNegativeCycleRatio(g, p, q, &res.Counts); neg {
+	if neg {
 		return fmt.Errorf("%w: a cycle with ratio below %v exists", ErrCertification, value)
 	}
 	res.Ratio = value

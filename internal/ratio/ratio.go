@@ -297,21 +297,6 @@ func cycleRatio(g *graph.Graph, cycle []graph.ArcID) (numeric.Rat, bool) {
 	return numeric.NewRat(g.CycleWeight(cycle), t), true
 }
 
-// hasNegativeCycleRatio reports whether some cycle C has
-// q·w(C) − p·t(C) < 0, i.e. ρ(C) < p/q, returning one such cycle. It is a
-// convenience wrapper over the shared oracle for call sites that hold no
-// oracle of their own (certification, tests); out-of-range inputs surface
-// as a "numeric:" panic caught by the package's panic-free boundary.
-func hasNegativeCycleRatio(g *graph.Graph, p, q int64, counts *counter.Counts) (bool, []graph.ArcID) {
-	o := newOracle(g, core.Options{}, counts)
-	defer o.Close()
-	neg, cycle, err := o.Probe(p, q)
-	if err != nil {
-		panic("numeric: " + err.Error())
-	}
-	return neg, cycle
-}
-
 // extractCriticalRatioCycle returns a cycle whose ratio is exactly rho,
 // assuming rho = ρ*: shortest distances under the scaled weights
 // q·w − p·t leave the critical (tight) arcs, any cycle of which has ratio

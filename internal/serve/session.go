@@ -542,8 +542,11 @@ const maxDeltaLineBytes = 1 << 16
 // applyDelta converts, applies, and re-solves one delta under the session's
 // entry lock, occupying a worker execution slot for the solve — session
 // deltas compete with /v1/solve work for the same capacity.
-func (s *Server) applyDelta(ctx context.Context, e *sessionEntry, dr *DeltaRequest) DeltaResult {
-	out := DeltaResult{Seq: dr.Seq, Op: dr.Op, ID: -1}
+//
+// out is a named result so the deferred ElapsedMillis write lands in the
+// value returned, not in a local copy.
+func (s *Server) applyDelta(ctx context.Context, e *sessionEntry, dr *DeltaRequest) (out DeltaResult) {
+	out = DeltaResult{Seq: dr.Seq, Op: dr.Op, ID: -1}
 	start := time.Now()
 	defer func() {
 		out.ElapsedMillis = float64(time.Since(start)) / 1e6

@@ -354,6 +354,24 @@ func TestSessionDeltaStreamEquivalence(t *testing.T) {
 	}
 }
 
+// TestSessionDeltaElapsed checks that every delta result reports its own
+// server-side wall clock, rejected deltas included.
+func TestSessionDeltaElapsed(t *testing.T) {
+	g := mustRing(t, 4, 10)
+	_, ts := newTestServer(t, Config{Workers: 2})
+	cr := createSession(t, ts, SessionCreateRequest{Text: graphText(t, g), Certify: true})
+	st := openDeltaStream(t, ts, cr.SessionID)
+
+	for _, dr := range []DeltaRequest{
+		{Seq: 1, Op: "set-weight", Arc: 2, Weight: -6},
+		{Seq: 2, Op: "delete-arc", Arc: 99},
+	} {
+		if res := st.roundTrip(t, dr); res.ElapsedMillis <= 0 {
+			t.Errorf("seq %d (%s): elapsed_ms = %v, want > 0: %+v", dr.Seq, dr.Op, res.ElapsedMillis, res)
+		}
+	}
+}
+
 // TestSessionDeltaErrors exercises the typed rejection paths: dead arcs and
 // unknown ops answer bad_delta and leave both the stream and the graph
 // usable; a malformed line ends the stream with a trailer.
