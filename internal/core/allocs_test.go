@@ -57,6 +57,41 @@ func TestMadaniAllocsPerOpPinned(t *testing.T) {
 	}
 }
 
+// TestKernelizedDriverAllocsPinned pins that the kernelized mean driver
+// allocates Kernelize's working arrays once per worker, not once per
+// component. Most of the budget is the contracted-kernel solver's (about 70
+// allocations per component). Per-component working arrays would add ten
+// more for each of the 16 components, 160 in all, which neither ceiling
+// leaves room for.
+func TestKernelizedDriverAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	howard := mustAlgo(t, "howard")
+	g, err := gen.MultiChain(16, gen.ChainConfig{CoreN: 16, Chains: 8, ChainLen: 20, MinWeight: 1, MaxWeight: 1000, SelfLoops: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		workers int
+		ceiling float64
+	}{{1, 1300}, {2, 1400}} {
+		opt := Options{Kernelize: true, Parallelism: pin.workers}
+		if _, err := MaximumCycleMean(g, howard, opt); err != nil {
+			t.Fatal(err)
+		}
+		avg := testing.AllocsPerRun(10, func() {
+			if _, err := MaximumCycleMean(g, howard, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > pin.ceiling {
+			t.Errorf("kernelized MaximumCycleMean with %d workers allocates %.1f objects/op, pinned at <= %.0f",
+				pin.workers, avg, pin.ceiling)
+		}
+	}
+}
+
 func TestKarp2AllocsPerOpPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")

@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/counter"
 	"repro/internal/graph"
@@ -327,13 +328,22 @@ func MinimumCycleMean(g *graph.Graph, algo Algorithm, opt Options) (res Result, 
 	return res, err
 }
 
-// emitSCC reports a finished decomposition to the tracer; a no-op (and
-// alloc-free) when tracing is disabled.
-func emitSCC(tr *obs.Trace, comps []graph.Component) {
+// sccStart reads the clock for an SCCEvent's Duration, only when tracing is
+// enabled.
+func sccStart(tr *obs.Trace) time.Time {
+	if !tr.Enabled() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// emitSCC reports a decomposition that began at start to the tracer; a no-op
+// (and alloc-free) when tracing is disabled.
+func emitSCC(tr *obs.Trace, comps []graph.Component, start time.Time) {
 	if !tr.Enabled() {
 		return
 	}
-	ev := obs.SCCEvent{Components: len(comps), Sizes: make([]int, len(comps))}
+	ev := obs.SCCEvent{Components: len(comps), Sizes: make([]int, len(comps)), Duration: time.Since(start)}
 	for i, c := range comps {
 		ev.Sizes[i] = c.Graph.NumNodes()
 		ev.Nodes += c.Graph.NumNodes()
@@ -346,11 +356,12 @@ func emitSCC(tr *obs.Trace, comps []graph.Component) {
 // recovery wrapper: SCC decomposition, per-component solve (sequential or
 // parallel), merge.
 func minimumCycleMeanAny(g *graph.Graph, algo Algorithm, opt Options) (Result, error) {
+	start := sccStart(opt.Tracer)
 	comps := graph.CyclicComponents(g)
 	if len(comps) == 0 {
 		return Result{}, ErrAcyclic
 	}
-	emitSCC(opt.Tracer, comps)
+	emitSCC(opt.Tracer, comps, start)
 	if workers := opt.workers(); workers > 1 && len(comps) > 1 {
 		return minimumCycleMeanParallel(algo, opt, comps, workers)
 	}
@@ -360,6 +371,7 @@ func minimumCycleMeanAny(g *graph.Graph, algo Algorithm, opt Options) (Result, e
 		found    bool
 		minLower float64
 		anyBound bool
+		scratch  prep.Scratch // kernelization arrays, reused across components
 	)
 	for ci, comp := range comps {
 		var (
@@ -369,8 +381,7 @@ func minimumCycleMeanAny(g *graph.Graph, algo Algorithm, opt Options) (Result, e
 		sub := opt
 		sub.traceComponent = ci + 1
 		if opt.Kernelize {
-			kern := prep.Kernelize(comp.Graph, prep.Mean)
-			opt.Tracer.Kernel(kern.TraceEvent(ci))
+			kern := scratch.KernelizeTraced(comp.Graph, prep.Mean, opt.Tracer, ci)
 			if found && kern.Err == nil && kern.HasBounds && !kern.Lower.Less(best.Mean) {
 				// Cross-SCC pruning: every cycle of this component has mean
 				// at least kern.Lower ≥ the incumbent, so it cannot win —

@@ -149,8 +149,9 @@ type DynSession struct {
 	mu         sync.Mutex
 	dg         *graph.DynamicGraph
 	comps      []*dynComp
-	compOf     []int32       // node -> index into comps, -1 when on no cycle
-	nodePolicy []graph.ArcID // node -> original arc ID of its last converged policy arc, -1 unknown
+	compOf     []int32        // node -> index into comps, -1 when on no cycle
+	nodePolicy []graph.ArcID  // node -> original arc ID of its last converged policy arc, -1 unknown
+	remap      []graph.NodeID // node -> index in the set rebuildNodes is extracting; -1 between calls
 	stats      DynStats
 
 	// Lazily materialized canonical snapshot of the current graph, used for
@@ -170,9 +171,11 @@ func NewDynSession(g *graph.Graph, opt Options) *DynSession {
 	n := g.NumNodes()
 	d.compOf = make([]int32, n)
 	d.nodePolicy = make([]graph.ArcID, n)
+	d.remap = make([]graph.NodeID, n)
 	for i := 0; i < n; i++ {
 		d.compOf[i] = -1
 		d.nodePolicy[i] = -1
+		d.remap[i] = -1
 	}
 	for _, comp := range graph.CyclicComponents(g) {
 		d.addComp(&dynComp{nodes: comp.Nodes, g: comp.Graph, arcOrig: comp.ArcMap, dirty: true})
@@ -240,6 +243,7 @@ func (d *DynSession) applyOne(dl Delta) (int64, error) {
 		v := d.dg.AddNode()
 		d.compOf = append(d.compOf, -1)
 		d.nodePolicy = append(d.nodePolicy, -1)
+		d.remap = append(d.remap, -1)
 		ev.From = int(v)
 		ret = int64(v)
 
@@ -421,25 +425,35 @@ func (d *DynSession) rebuildNodes(nodes []graph.NodeID) {
 		return
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	local := make(map[graph.NodeID]graph.NodeID, len(nodes))
+	// Dense local numbering in d.remap, cleared again once the arcs are
+	// copied. A counting pass sizes the arc slices exactly; arcs keep the
+	// node-then-out-arc order, so warm policies and arc IDs do not move.
+	local := d.remap
 	for li, gn := range nodes {
 		local[gn] = graph.NodeID(li)
 	}
-	var (
-		arcs    []graph.Arc
-		arcOrig []graph.ArcID
-	)
+	m := 0
+	for _, gn := range nodes {
+		for _, id := range d.dg.OutLive(gn) {
+			if a, _ := d.dg.Arc(id); local[a.To] >= 0 {
+				m++
+			}
+		}
+	}
+	arcs := make([]graph.Arc, 0, m)
+	arcOrig := make([]graph.ArcID, 0, m)
 	for _, gn := range nodes {
 		li := local[gn]
 		for _, id := range d.dg.OutLive(gn) {
 			a, _ := d.dg.Arc(id)
-			lj, in := local[a.To]
-			if !in {
-				continue
+			if lj := local[a.To]; lj >= 0 {
+				arcs = append(arcs, graph.Arc{From: li, To: lj, Weight: a.Weight, Transit: a.Transit})
+				arcOrig = append(arcOrig, id)
 			}
-			arcs = append(arcs, graph.Arc{From: li, To: lj, Weight: a.Weight, Transit: a.Transit})
-			arcOrig = append(arcOrig, id)
 		}
+	}
+	for _, gn := range nodes {
+		local[gn] = -1
 	}
 	lg := graph.FromArcs(len(nodes), arcs)
 	for _, comp := range graph.CyclicComponents(lg) {

@@ -35,6 +35,7 @@ func minimumCycleMeanParallel(algo Algorithm, opt Options, comps []graph.Compone
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var scratch prep.Scratch // this worker's kernelization arrays
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(comps) {
@@ -59,8 +60,7 @@ func minimumCycleMeanParallel(algo Algorithm, opt Options, comps []graph.Compone
 						// Kernelize per component. No cross-SCC pruning here:
 						// the incumbent would depend on completion order and
 						// the driver's merge must stay deterministic.
-						kern := prep.Kernelize(comps[i].Graph, prep.Mean)
-						opt.Tracer.Kernel(kern.TraceEvent(i))
+						kern := scratch.KernelizeTraced(comps[i].Graph, prep.Mean, opt.Tracer, i)
 						r, err = solveComponentKernelized(algo, sub, comps[i].Graph, kern)
 					} else {
 						r, err = algo.Solve(comps[i].Graph, sub)

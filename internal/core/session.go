@@ -117,12 +117,13 @@ func (s *Session) solve(g *graph.Graph, opt Options) (res Result, err error) {
 		}
 	}()
 	defer RecoverNumericRange(&err, ErrNumericRange)
+	tr := opt.Tracer
+	sccStarted := sccStart(tr)
 	comps := graph.CyclicComponents(g)
 	if len(comps) == 0 {
 		return Result{}, ErrAcyclic
 	}
-	tr := opt.Tracer
-	emitSCC(tr, comps)
+	emitSCC(tr, comps, sccStarted)
 	var (
 		best  Result
 		total counter.Counts

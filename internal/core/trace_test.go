@@ -68,6 +68,9 @@ func TestTraceSequentialDriver(t *testing.T) {
 	if len(scc.Sizes) != scc.Components {
 		t.Errorf("len(Sizes) = %d, want %d", len(scc.Sizes), scc.Components)
 	}
+	if scc.Duration <= 0 {
+		t.Errorf("SCC event has non-positive duration %v", scc.Duration)
+	}
 	// Nodes/Arcs cover the cyclic components only (the acyclic remainder is
 	// never handed to a solver), so they are bounded by the full graph.
 	if scc.Nodes <= 0 || scc.Nodes > g.NumNodes() || scc.Arcs <= 0 || scc.Arcs > g.NumArcs() {
@@ -159,6 +162,9 @@ func TestTraceKernelizedDriver(t *testing.T) {
 		compSeen[ev.Component] = true
 		if ev.OrigNodes <= 0 || ev.OrigArcs <= 0 {
 			t.Errorf("kernel event has empty original sizes: %+v", ev)
+		}
+		if ev.Duration <= 0 {
+			t.Errorf("kernel event for component %d has non-positive duration %v", ev.Component, ev.Duration)
 		}
 	}
 	if len(compSeen) != comps {

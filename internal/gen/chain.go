@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"fmt"
+
 	"repro/internal/graph"
 )
 
@@ -38,4 +40,43 @@ func Chain(cfg ChainConfig) (*graph.Graph, error) {
 		return nil, err
 	}
 	return graph.Materialize(src)
+}
+
+// MultiChain joins k chain-heavy blocks, each Chain(cfg) with its own seed
+// derived from cfg.Seed, by one forward arc between consecutive blocks and
+// never a backward one, so the blocks are exactly the cyclic SCCs. This is
+// the shape of a multi-domain circuit, where SCC decomposition and
+// kernelization do most of a solve's work.
+func MultiChain(k int, cfg ChainConfig) (*graph.Graph, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("gen: MultiChain needs k >= 1")
+	}
+	r := newRNG(cfg.Seed ^ 0x5bd1e995)
+	var (
+		b    *graph.Builder
+		prev graph.NodeID
+	)
+	for blk := 0; blk < k; blk++ {
+		bc := cfg
+		bc.Seed = cfg.Seed + uint64(blk)*1315423911
+		sub, err := Chain(bc)
+		if err != nil {
+			return nil, err
+		}
+		size := sub.NumNodes()
+		if b == nil {
+			b = graph.NewBuilder(k*size, k*(sub.NumArcs()+1))
+		}
+		base := b.AddNodes(size)
+		for _, a := range sub.Arcs() {
+			b.AddArc(base+a.From, base+a.To, a.Weight)
+		}
+		if blk > 0 {
+			u := prev + graph.NodeID(r.intn(int64(size)))
+			v := base + graph.NodeID(r.intn(int64(size)))
+			b.AddArc(u, v, r.rangeInt(cfg.MinWeight, cfg.MaxWeight))
+		}
+		prev = base
+	}
+	return b.Build(), nil
 }

@@ -94,6 +94,31 @@ func TestChainRejectsBadConfig(t *testing.T) {
 	}
 }
 
+func TestMultiChainBlocksAreTheCyclicSCCs(t *testing.T) {
+	cfg := ChainConfig{CoreN: 6, Chains: 3, ChainLen: 8, MinWeight: -5, MaxWeight: 5, SelfLoops: 1, Seed: 4}
+	const k = 5
+	g, err := MultiChain(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := cfg.CoreN + cfg.Chains*cfg.ChainLen
+	if g.NumNodes() != k*block {
+		t.Errorf("nodes = %d, want %d", g.NumNodes(), k*block)
+	}
+	comps := graph.CyclicComponents(g)
+	if len(comps) != k {
+		t.Fatalf("%d cyclic components, want %d", len(comps), k)
+	}
+	for _, c := range comps {
+		if len(c.Nodes) != block {
+			t.Errorf("component of %d nodes, want %d", len(c.Nodes), block)
+		}
+	}
+	if _, err := MultiChain(0, cfg); err == nil {
+		t.Error("MultiChain(0, ...) must fail")
+	}
+}
+
 func TestChainZeroLengthChains(t *testing.T) {
 	g, err := Chain(ChainConfig{CoreN: 5, Chains: 4, ChainLen: 0, MinWeight: 1, MaxWeight: 3, Seed: 1})
 	if err != nil {

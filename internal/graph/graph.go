@@ -116,14 +116,17 @@ func buildIndex(n int, arcs []Arc, key func(Arc) NodeID) ([]int32, []ArcID) {
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
+	// Fill with start[k] as node k's cursor. It ends where node k+1 begins,
+	// so shifting the cursors up by one slot restores the prefix sums
+	// without a separate cursor array.
 	idx := make([]ArcID, len(arcs))
-	fill := make([]int32, n)
-	copy(fill, start[:n])
 	for i, a := range arcs {
 		k := key(a)
-		idx[fill[k]] = ArcID(i)
-		fill[k]++
+		idx[start[k]] = ArcID(i)
+		start[k]++
 	}
+	copy(start[1:], start[:n])
+	start[0] = 0
 	return start, idx
 }
 
@@ -207,25 +210,29 @@ func (g *Graph) TotalTransit() int64 {
 
 // NegateWeights returns a copy of g with every arc weight negated. The
 // maximum cycle mean of g equals the negated minimum cycle mean of the copy;
-// this is how the Max* drivers in internal/core are implemented.
+// this is how the Max* drivers in internal/core are implemented. Only the
+// arc slice is copied: the result shares g's immutable adjacency index,
+// since no endpoint changes.
 func (g *Graph) NegateWeights() *Graph {
 	arcs := make([]Arc, len(g.arcs))
 	for i, a := range g.arcs {
 		a.Weight = -a.Weight
 		arcs[i] = a
 	}
-	return FromArcs(g.NumNodes(), arcs)
+	return &Graph{arcs: arcs, outStart: g.outStart, outArcs: g.outArcs, inStart: g.inStart, inArcs: g.inArcs}
 }
 
 // Reverse returns the graph with every arc reversed (weights and transit
-// times preserved). Arc IDs are preserved.
+// times preserved). Arc IDs are preserved. Only the arc slice is copied: the
+// result shares g's immutable adjacency index with in and out swapped, which
+// is exactly the index FromArcs would build for the reversed arcs.
 func (g *Graph) Reverse() *Graph {
 	arcs := make([]Arc, len(g.arcs))
 	for i, a := range g.arcs {
 		a.From, a.To = a.To, a.From
 		arcs[i] = a
 	}
-	return FromArcs(g.NumNodes(), arcs)
+	return &Graph{arcs: arcs, outStart: g.inStart, outArcs: g.inArcs, inStart: g.outStart, inArcs: g.outArcs}
 }
 
 // CycleWeight sums the weights of the given arcs (typically a cycle).
@@ -270,18 +277,48 @@ func (g *Graph) ValidateCycle(cycle []ArcID) error {
 // the mapping back to the original node and arc IDs. nodes must not contain
 // duplicates. The i-th node of the subgraph corresponds to nodes[i]; the
 // returned arcMap gives, for each subgraph arc ID, the original ArcID.
+// Subgraph arcs follow nodes' order and, within a node, g's out-arc order.
+// The subgraph has its own index; it shares no memory with g.
 func (g *Graph) InducedSubgraph(nodes []NodeID) (sub *Graph, arcMap []ArcID) {
-	remap := make(map[NodeID]NodeID, len(nodes))
-	for i, v := range nodes {
-		remap[v] = NodeID(i)
+	n := g.NumNodes()
+	marks := make([]int32, 2*n)
+	set, local := marks[:n], marks[n:]
+	for i := range set {
+		set[i] = -1
 	}
-	var arcs []Arc
+	for i, v := range nodes {
+		set[v] = 0
+		local[v] = NodeID(i)
+	}
+	return g.induce(nodes, set, 0, local)
+}
+
+// induce builds the subgraph of g induced by nodes, which are exactly the
+// nodes v with set[v] == id; local[v] gives each one's index in nodes. A
+// counting pass sizes the arc and arc-map slices exactly, and a second pass
+// fills them in nodes' order and, within a node, in g's out-arc order. With
+// no arcs both results are nil slices.
+func (g *Graph) induce(nodes []NodeID, set []int32, id int32, local []NodeID) (*Graph, []ArcID) {
+	m := 0
 	for _, v := range nodes {
-		for _, id := range g.OutArcs(v) {
-			a := g.arcs[id]
-			if w, ok := remap[a.To]; ok {
-				arcs = append(arcs, Arc{From: remap[v], To: w, Weight: a.Weight, Transit: a.Transit})
-				arcMap = append(arcMap, id)
+		for _, e := range g.outArcs[g.outStart[v]:g.outStart[v+1]] {
+			if set[g.arcs[e].To] == id {
+				m++
+			}
+		}
+	}
+	if m == 0 {
+		return FromArcs(len(nodes), nil), nil
+	}
+	arcs := make([]Arc, 0, m)
+	arcMap := make([]ArcID, 0, m)
+	for _, v := range nodes {
+		from := local[v]
+		for _, e := range g.outArcs[g.outStart[v]:g.outStart[v+1]] {
+			a := g.arcs[e]
+			if set[a.To] == id {
+				arcs = append(arcs, Arc{From: from, To: local[a.To], Weight: a.Weight, Transit: a.Transit})
+				arcMap = append(arcMap, e)
 			}
 		}
 	}

@@ -19,66 +19,53 @@ type SCC struct {
 
 // StronglyConnectedComponents computes the SCC decomposition of g with an
 // iterative Tarjan algorithm (no recursion, so million-node graphs are safe).
+// It allocates a fixed number of arrays whatever the graph's shape.
 func StronglyConnectedComponents(g *Graph) *SCC {
 	n := g.NumNodes()
 	const unvisited = -1
-	index := make([]int32, n)
-	low := make([]int32, n)
 	comp := make([]int32, n)
-	onStack := make([]bool, n)
+	// Everything else lives in one work array whose parts are each bounded
+	// by n, so no append ever regrows: the DFS index and lowlink of every
+	// node, the out-arc cursor of every node on the DFS path, the Tarjan
+	// stack and the DFS path itself. A visited node is on the Tarjan stack
+	// exactly while its comp is still -1.
+	work := make([]int32, 5*n)
+	index, low, cursor := work[:n], work[n:2*n], work[2*n:3*n]
+	stack, path := work[3*n:3*n:4*n], work[4*n:4*n:5*n]
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = -1
 	}
 
-	var (
-		counter int32
-		nComp   int32
-		stack   []NodeID // Tarjan stack
-	)
-
-	// Explicit DFS stack: frame holds the node and the position within its
-	// out-arc list.
-	type frame struct {
-		v   NodeID
-		arc int32
-	}
-	var dfs []frame
-
+	var counter, nComp int32
 	for root := NodeID(0); int(root) < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		dfs = append(dfs[:0], frame{v: root})
-		index[root] = counter
-		low[root] = counter
+		index[root], low[root], cursor[root] = counter, counter, g.outStart[root]
 		counter++
 		stack = append(stack, root)
-		onStack[root] = true
+		path = append(path, root)
 
-		for len(dfs) > 0 {
-			f := &dfs[len(dfs)-1]
-			v := f.v
-			out := g.OutArcs(v)
-			if int(f.arc) < len(out) {
-				w := g.Arc(out[f.arc]).To
-				f.arc++
+		for len(path) > 0 {
+			v := path[len(path)-1]
+			if c := cursor[v]; c < g.outStart[v+1] {
+				cursor[v] = c + 1
+				w := g.arcs[g.outArcs[c]].To
 				if index[w] == unvisited {
-					index[w] = counter
-					low[w] = counter
+					index[w], low[w], cursor[w] = counter, counter, g.outStart[w]
 					counter++
 					stack = append(stack, w)
-					onStack[w] = true
-					dfs = append(dfs, frame{v: w})
-				} else if onStack[w] && index[w] < low[v] {
+					path = append(path, w)
+				} else if comp[w] < 0 && index[w] < low[v] {
 					low[v] = index[w]
 				}
 				continue
 			}
 			// Post-order: pop v.
-			dfs = dfs[:len(dfs)-1]
-			if len(dfs) > 0 {
-				parent := dfs[len(dfs)-1].v
+			path = path[:len(path)-1]
+			if len(path) > 0 {
+				parent := path[len(path)-1]
 				if low[v] < low[parent] {
 					low[parent] = low[v]
 				}
@@ -87,7 +74,6 @@ func StronglyConnectedComponents(g *Graph) *SCC {
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					onStack[w] = false
 					comp[w] = nComp
 					if w == v {
 						break
@@ -115,13 +101,15 @@ func groupMembers(comp []int32, nComp int32) [][]NodeID {
 	for i := int32(0); i < nComp; i++ {
 		start[i+1] += start[i]
 	}
+	// start[c] is component c's fill cursor; it ends where c+1 begins, so a
+	// shift by one slot restores the prefix sums, as in buildIndex.
 	backing := make([]NodeID, len(comp))
-	next := make([]int32, nComp)
-	copy(next, start[:nComp])
 	for v, c := range comp {
-		backing[next[c]] = NodeID(v)
-		next[c]++
+		backing[start[c]] = NodeID(v)
+		start[c]++
 	}
+	copy(start[1:], start[:nComp])
+	start[0] = 0
 	members := make([][]NodeID, nComp)
 	for c := int32(0); c < nComp; c++ {
 		members[c] = backing[start[c]:start[c+1]:start[c+1]]
@@ -284,28 +272,52 @@ func HasCycle(g *Graph) bool {
 // one node, or a single node with a self-loop), its induced subgraph plus
 // the node list and arc mapping back to g. This is the decomposition step
 // every algorithm driver performs before assuming strong connectivity.
+//
+// Components come in Tarjan order. A node's subgraph ID is its position in
+// the component's ascending member list, held in one dense array rather than
+// a map, and each subgraph's arcs follow its members' out-arcs in g's order,
+// exactly as InducedSubgraph(Nodes) would build them. Each component's
+// subgraph and arc map are its own exactly sized slices, so dropping a
+// component frees them.
 func CyclicComponents(g *Graph) []Component {
 	scc := StronglyConnectedComponents(g)
-	var out []Component
-	for c := 0; c < scc.Count; c++ {
-		members := scc.Members[c]
-		if len(members) == 1 {
-			v := members[0]
-			selfLoop := false
-			for _, id := range g.OutArcs(v) {
-				if g.Arc(id).To == v {
-					selfLoop = true
-					break
-				}
-			}
-			if !selfLoop {
-				continue
-			}
+	count := 0
+	for _, members := range scc.Members {
+		if isCyclic(g, members) {
+			count++
 		}
-		sub, arcMap := g.InducedSubgraph(members)
+	}
+	if count == 0 {
+		return nil
+	}
+	local := make([]NodeID, g.NumNodes())
+	out := make([]Component, 0, count)
+	for c, members := range scc.Members {
+		if !isCyclic(g, members) {
+			continue
+		}
+		for i, v := range members {
+			local[v] = NodeID(i)
+		}
+		sub, arcMap := g.induce(members, scc.Comp, int32(c), local)
 		out = append(out, Component{Graph: sub, Nodes: members, ArcMap: arcMap})
 	}
 	return out
+}
+
+// isCyclic reports whether an SCC can hold a cycle: it has more than one
+// node, or its single node has a self-loop.
+func isCyclic(g *Graph, members []NodeID) bool {
+	if len(members) != 1 {
+		return true
+	}
+	v := members[0]
+	for _, id := range g.OutArcs(v) {
+		if g.arcs[id].To == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Component is one cyclic SCC extracted by CyclicComponents.

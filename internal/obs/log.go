@@ -55,22 +55,23 @@ func (l *logTracer) scc(ev SCCEvent) {
 	for _, s := range ev.Sizes {
 		sizes = append(sizes, fmt.Sprintf("%d", s))
 	}
-	l.printf("scc: %d cyclic components (n=%d m=%d, sizes %s)",
-		ev.Components, ev.Nodes, ev.Arcs, strings.Join(sizes, ","))
+	l.printf("scc: %d cyclic components (n=%d m=%d, sizes %s) in %v",
+		ev.Components, ev.Nodes, ev.Arcs, strings.Join(sizes, ","), ev.Duration.Round(time.Microsecond))
 }
 
 func (l *logTracer) kernel(ev KernelEvent) {
+	d := ev.Duration.Round(time.Microsecond)
 	switch {
 	case ev.Unsupported:
-		l.printf("kernel: comp %d unsupported input, solving raw (n=%d m=%d)",
-			ev.Component, ev.OrigNodes, ev.OrigArcs)
+		l.printf("kernel: comp %d unsupported input, solving raw (n=%d m=%d) in %v",
+			ev.Component, ev.OrigNodes, ev.OrigArcs, d)
 	case ev.Solved:
-		l.printf("kernel: comp %d solved in closed form (n=%d m=%d reduced away)",
-			ev.Component, ev.OrigNodes, ev.OrigArcs)
+		l.printf("kernel: comp %d solved in closed form (n=%d m=%d reduced away) in %v",
+			ev.Component, ev.OrigNodes, ev.OrigArcs, d)
 	default:
-		l.printf("kernel: comp %d n=%d->%d m=%d->%d contracted=%v candidate=%v bounds=%v",
+		l.printf("kernel: comp %d n=%d->%d m=%d->%d contracted=%v candidate=%v bounds=%v in %v",
 			ev.Component, ev.OrigNodes, ev.Nodes, ev.OrigArcs, ev.Arcs,
-			ev.Contracted, ev.HasCandidate, ev.HasBounds)
+			ev.Contracted, ev.HasCandidate, ev.HasBounds, d)
 	}
 }
 

@@ -35,6 +35,10 @@ type SCCEvent struct {
 	// Sizes holds the node count of each cyclic component, in decomposition
 	// order. The slice is only valid during the hook call; copy to retain.
 	Sizes []int
+	// Duration is the wall time of the decomposition and component
+	// extraction. It is zero for core.DynSession, which maintains its
+	// components across deltas instead of decomposing at solve time.
+	Duration time.Duration
 }
 
 // KernelEvent reports one component's kernelization outcome (the
@@ -58,6 +62,8 @@ type KernelEvent struct {
 	// Unsupported reports that the input fell outside the exact reductions
 	// (Kernel.Err != nil) and the raw component will be solved instead.
 	Unsupported bool
+	// Duration is the wall time of the component's kernelization.
+	Duration time.Duration
 }
 
 // SolverStartEvent reports one solver run starting on one (component) graph.

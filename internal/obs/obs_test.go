@@ -93,8 +93,9 @@ func TestLogTracerRendersEvents(t *testing.T) {
 	var sb strings.Builder
 	mu := &syncWriter{w: &sb}
 	tr := NewLogTracer(mu)
-	tr.SCC(SCCEvent{Components: 2, Nodes: 7, Arcs: 12, Sizes: []int{4, 3}})
-	tr.Kernel(KernelEvent{Component: 1, OrigNodes: 4, OrigArcs: 6, Nodes: 2, Arcs: 3, Contracted: true})
+	tr.SCC(SCCEvent{Components: 2, Nodes: 7, Arcs: 12, Sizes: []int{4, 3}, Duration: 5 * time.Microsecond})
+	tr.Kernel(KernelEvent{Component: 1, OrigNodes: 4, OrigArcs: 6, Nodes: 2, Arcs: 3, Contracted: true,
+		Duration: 3 * time.Microsecond})
 	tr.SolverStart(SolverStartEvent{Algorithm: "howard", Component: 1, Nodes: 2, Arcs: 3})
 	tr.SolverDone(SolverDoneEvent{Algorithm: "howard", Component: 1, Duration: 42 * time.Microsecond,
 		Value: 1.5, Counts: counter.Counts{Iterations: 3}})
@@ -109,8 +110,9 @@ func TestLogTracerRendersEvents(t *testing.T) {
 
 	out := sb.String()
 	for _, want := range []string{
-		"scc: 2 cyclic components (n=7 m=12, sizes 4,3)",
+		"scc: 2 cyclic components (n=7 m=12, sizes 4,3) in 5µs",
 		"kernel: comp 1 n=4->2 m=6->3 contracted=true",
+		"bounds=false in 3µs",
 		"solver howard: comp 1 start (n=2 m=3)",
 		"solver howard: comp 1 done in 42µs, value=1.5, iters=3",
 		"solver karp: comp - FAILED",

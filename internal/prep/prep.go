@@ -37,6 +37,7 @@ package prep
 
 import (
 	"errors"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/numeric"
@@ -237,52 +238,107 @@ const tinyPairLimit = 4096
 // the tiny-component closed forms and bounds assume every kernel arc lies on
 // some cycle, which only strong connectivity guarantees.
 func Kernelize(g *graph.Graph, mode Mode) *Kernel {
+	return new(Scratch).Kernelize(g, mode)
+}
+
+// warc is one arc of the working set and a node of the contraction DAG, held
+// inline in the working slice itself: a leaf (r < 0) stands for the single
+// original arc l, a merge node concatenates children l then r. Keeping the
+// DAG in the slice — instead of a heap-allocated path tree per arc — keeps
+// kernelization's allocation count independent of the graph, which matters
+// because it runs ahead of every solve. t is the value denominator per Mode.
+type warc struct {
+	from, to graph.NodeID
+	w, t     int64
+	l, r     int32 // children; r < 0 marks a leaf and l is the original arc ID
+	plen     int32 // original arcs under this node
+	dead     bool
+}
+
+// Scratch holds Kernelize's working arrays so that one solve can reuse them
+// across its components: the working arc set, the incidence lists and their
+// backing, the degrees, the removed flags, the contraction queue and the
+// node renumbering. The zero value is ready to use. A Scratch serves one
+// Kernelize call at a time, and the Kernel it returns shares no memory
+// with it.
+//
+// The mean and ratio drivers keep one Scratch per worker for the length of
+// one solve rather than in a package-level pool: a pooled Scratch survives
+// garbage collection between solves and stays in the live heap.
+type Scratch struct {
+	warcs           []warc
+	ins, outs       [][]int32
+	inBack, outBack []int32
+	indeg, outdeg   []int32
+	removed         []bool
+	queue           []graph.NodeID
+	nodeOf          []graph.NodeID
+	fstack          []int32
+}
+
+// resize returns buf with length n, reallocating only when its capacity is
+// short. The contents are not cleared.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// flatten appends the original arcs under warcs[root] to dst in path order,
+// iteratively so deep chains cannot overflow the goroutine stack.
+func (s *Scratch) flatten(warcs []warc, root int32, dst []graph.ArcID) []graph.ArcID {
+	stack := append(s.fstack[:0], root)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for warcs[i].r >= 0 {
+			stack = append(stack, warcs[i].r)
+			i = warcs[i].l
+		}
+		dst = append(dst, graph.ArcID(warcs[i].l))
+	}
+	s.fstack = stack
+	return dst
+}
+
+// KernelizeTraced is s.Kernelize followed by component comp's KernelEvent
+// on tr. The event's Duration is measured only when tr is enabled, so the
+// untraced path reads no clock.
+func (s *Scratch) KernelizeTraced(g *graph.Graph, mode Mode, tr *obs.Trace, comp int) *Kernel {
+	if !tr.Enabled() {
+		return s.Kernelize(g, mode)
+	}
+	start := time.Now()
+	k := s.Kernelize(g, mode)
+	ev := k.TraceEvent(comp)
+	ev.Duration = time.Since(start)
+	tr.Kernel(ev)
+	return k
+}
+
+// Kernelize is the package-level Kernelize on s's working arrays.
+func (s *Scratch) Kernelize(g *graph.Graph, mode Mode) *Kernel {
 	n, m := g.NumNodes(), g.NumArcs()
 	k := &Kernel{OrigNodes: n, OrigArcs: m}
 	arcs := g.Arcs()
 
-	// Working arc set. A warc is a node of the contraction DAG held inline in
-	// the warcs slice itself: a leaf (r < 0) stands for the single original
-	// arc l, a merge node concatenates children l then r. Keeping the DAG in
-	// the slice — instead of a heap-allocated path tree per arc — makes
-	// kernelization O(1) allocations, which matters because it runs ahead of
-	// every solve. denom (t) is the value denominator per Mode.
-	type warc struct {
-		from, to graph.NodeID
-		w, t     int64
-		l, r     int32 // children; r < 0 marks a leaf and l is the original arc ID
-		plen     int32 // original arcs under this node
-		dead     bool
-	}
 	// Capacity covers every original arc plus one merge per contracted node
 	// plus dead candidate markers, so the slice never regrows mid-reduction.
-	warcs := make([]warc, 0, m+n)
-	candIdx := int32(-1) // warc index of the best closed-form cycle
-
-	// flatten appends the original arcs under root to dst in path order,
-	// iteratively so deep chains cannot overflow the goroutine stack.
-	var fstack []int32
-	flatten := func(root int32, dst []graph.ArcID) []graph.ArcID {
-		fstack = append(fstack[:0], root)
-		for len(fstack) > 0 {
-			i := fstack[len(fstack)-1]
-			fstack = fstack[:len(fstack)-1]
-			for warcs[i].r >= 0 {
-				fstack = append(fstack, warcs[i].r)
-				i = warcs[i].l
-			}
-			dst = append(dst, graph.ArcID(warcs[i].l))
-		}
-		return dst
+	if cap(s.warcs) < m+n {
+		s.warcs = make([]warc, 0, m+n)
 	}
+	warcs := s.warcs[:0]
+	candIdx := int32(-1) // warc index of the best closed-form cycle
 
 	// Incidence lists in one backing array each: per-node capacity equals the
 	// initial degree, which contraction never exceeds (each splice removes
 	// one incident arc before adding one).
-	ins := make([][]int32, n)
-	outs := make([][]int32, n)
-	indeg := make([]int32, n)
-	outdeg := make([]int32, n)
+	ins, outs := resize(s.ins, n), resize(s.outs, n)
+	indeg, outdeg := resize(s.indeg, n), resize(s.outdeg, n)
+	s.ins, s.outs, s.indeg, s.outdeg = ins, outs, indeg, outdeg
+	clear(indeg)
+	clear(outdeg)
 	for _, a := range arcs {
 		if a.From == a.To {
 			continue
@@ -296,8 +352,8 @@ func Kernelize(g *graph.Graph, mode Mode) *Kernel {
 			inTot += int(indeg[v])
 			outTot += int(outdeg[v])
 		}
-		inBack := make([]int32, inTot)
-		outBack := make([]int32, outTot)
+		inBack, outBack := resize(s.inBack, inTot), resize(s.outBack, outTot)
+		s.inBack, s.outBack = inBack, outBack
 		inOff, outOff := 0, 0
 		for v := 0; v < n; v++ {
 			ins[v] = inBack[inOff : inOff : inOff+int(indeg[v])]
@@ -363,8 +419,13 @@ func Kernelize(g *graph.Graph, mode Mode) *Kernel {
 		}
 		return list
 	}
-	removed := make([]bool, n)
-	queue := make([]graph.NodeID, 0, n)
+	removed := resize(s.removed, n)
+	s.removed = removed
+	clear(removed)
+	if cap(s.queue) < n {
+		s.queue = make([]graph.NodeID, 0, n)
+	}
+	queue := s.queue[:0]
 	for v := 0; v < n; v++ {
 		if len(ins[v]) == 1 && len(outs[v]) == 1 {
 			queue = append(queue, graph.NodeID(v))
@@ -415,6 +476,7 @@ func Kernelize(g *graph.Graph, mode Mode) *Kernel {
 		outs[u] = append(outs[u], wi)
 		ins[w] = append(ins[w], wi)
 	}
+	s.queue = queue
 
 	if !reduced {
 		// Identity: nothing to map, reuse the input graph as the kernel.
@@ -430,11 +492,16 @@ func Kernelize(g *graph.Graph, mode Mode) *Kernel {
 	}
 
 	// Assemble the kernel graph over the surviving nodes.
-	nodeOf := make([]graph.NodeID, n) // original -> kernel, -1 if dropped
-	for i := range nodeOf {
-		nodeOf[i] = -1
+	nodeOf := resize(s.nodeOf, n) // original -> kernel, -1 if dropped
+	s.nodeOf = nodeOf
+	kn := 0 // the incidence lists hold exactly the live arcs
+	for v := range nodeOf {
+		nodeOf[v] = -1
+		if len(ins[v]) > 0 || len(outs[v]) > 0 {
+			kn++
+		}
 	}
-	var kNodes []graph.NodeID
+	kNodes := make([]graph.NodeID, 0, kn)
 	alive, pathTot := 0, 0
 	for i := range warcs {
 		if !warcs[i].dead {
@@ -463,7 +530,7 @@ func Kernelize(g *graph.Graph, mode Mode) *Kernel {
 			Weight: a.w, Transit: a.t,
 		})
 		start := len(backing)
-		backing = flatten(int32(i), backing)
+		backing = s.flatten(warcs, int32(i), backing)
 		kPaths = append(kPaths, backing[start:len(backing):len(backing)])
 		if a.plen > 1 {
 			k.Contracted = true
@@ -473,7 +540,7 @@ func Kernelize(g *graph.Graph, mode Mode) *Kernel {
 	k.NodeMap = kNodes
 	k.ArcPaths = kPaths
 	if candIdx >= 0 {
-		k.candidate = flatten(candIdx, make([]graph.ArcID, 0, warcs[candIdx].plen))
+		k.candidate = s.flatten(warcs, candIdx, make([]graph.ArcID, 0, warcs[candIdx].plen))
 	}
 
 	// Reduction 3: tiny-component closed forms.

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/counter"
@@ -166,12 +167,13 @@ func MinimumCycleRatio(g *graph.Graph, algo Algorithm, opt core.Options) (res Re
 	return res, err
 }
 
-// emitSCC mirrors core's decomposition event for the ratio driver.
-func emitSCC(tr *obs.Trace, comps []graph.Component) {
+// emitSCC mirrors core's decomposition event for the ratio driver; start is
+// when the decomposition began, read only when tracing is enabled.
+func emitSCC(tr *obs.Trace, comps []graph.Component, start time.Time) {
 	if !tr.Enabled() {
 		return
 	}
-	ev := obs.SCCEvent{Components: len(comps), Sizes: make([]int, len(comps))}
+	ev := obs.SCCEvent{Components: len(comps), Sizes: make([]int, len(comps)), Duration: time.Since(start)}
 	for i, c := range comps {
 		ev.Sizes[i] = c.Graph.NumNodes()
 		ev.Nodes += c.Graph.NumNodes()
@@ -183,14 +185,19 @@ func emitSCC(tr *obs.Trace, comps []graph.Component) {
 // minimumCycleRatioAny is MinimumCycleRatio without the certification and
 // recovery wrapper.
 func minimumCycleRatioAny(g *graph.Graph, algo Algorithm, opt core.Options) (Result, error) {
+	var start time.Time
+	if opt.Tracer.Enabled() {
+		start = time.Now()
+	}
 	comps := graph.CyclicComponents(g)
 	if len(comps) == 0 {
 		return Result{}, ErrAcyclic
 	}
-	emitSCC(opt.Tracer, comps)
+	emitSCC(opt.Tracer, comps, start)
 	var (
-		best  Result
-		found bool
+		best    Result
+		found   bool
+		scratch prep.Scratch // kernelization arrays, reused across components
 	)
 	for ci, comp := range comps {
 		var (
@@ -199,8 +206,7 @@ func minimumCycleRatioAny(g *graph.Graph, algo Algorithm, opt core.Options) (Res
 		)
 		sub := opt.WithTraceComponent(ci)
 		if opt.Kernelize {
-			kern := prep.Kernelize(comp.Graph, prep.Ratio)
-			opt.Tracer.Kernel(kern.TraceEvent(ci))
+			kern := scratch.KernelizeTraced(comp.Graph, prep.Ratio, opt.Tracer, ci)
 			if found && kern.Err == nil && kern.HasBounds && !kern.Lower.Less(best.Ratio) {
 				// Cross-SCC pruning: every cycle of this component has ratio
 				// at least kern.Lower ≥ the incumbent, so it cannot win.
