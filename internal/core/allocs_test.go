@@ -35,6 +35,34 @@ func TestHowardAllocsPerOpPinned(t *testing.T) {
 	}
 }
 
+// TestCertifiedHowardAllocsPerOpPinned pins a certified MinimumCycleMean
+// with howard on a strongly connected graph: the driver's component and
+// result bookkeeping plus the certificate. Howard's fixed-point potentials
+// prove the answer in one pass, so no Bellman–Ford distance arrays are
+// allocated; the potentials themselves are the one copy Certify adds.
+func TestCertifiedHowardAllocsPerOpPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	howard := mustAlgo(t, "howard")
+	g, err := gen.Sprand(gen.SprandConfig{N: 200, M: 800, MinWeight: -1000, MaxWeight: 1000, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Certify: true}
+	if _, err := MinimumCycleMean(g, howard, opt); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := MinimumCycleMean(g, howard, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 19 {
+		t.Errorf("certified howard allocates %.1f objects/op in steady state, pinned at <= 19", avg)
+	}
+}
+
 func TestMadaniAllocsPerOpPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")

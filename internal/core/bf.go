@@ -8,22 +8,31 @@ import (
 	"repro/internal/numeric"
 )
 
-// scaledBound reports whether Bellman–Ford distance arithmetic on weights
-// q·w − p can overflow int64 for this graph, i.e. whether
-// n · max|q·w − p| stays comfortably inside the int64 range.
+// scaledOverflows reports whether exact int64 arithmetic on the reduced
+// weights q·w − p of g could overflow; see scaledPerArc.
 func scaledOverflows(g *graph.Graph, p, q int64) bool {
+	_, ok := scaledPerArc(g, p, q)
+	return !ok
+}
+
+// scaledPerArc bounds the reduced arc weights of G_λ at λ = p/q, returning
+// perArc ≥ max|q·w − p|, and reports whether n + 1 of them summed stay
+// inside ±2^62. When ok, every path sum of at most n arcs, and so every
+// Bellman–Ford distance and every potential within ±(n−1)·perArc, leaves
+// room for the per-arc checks q·w − p + π(v) − π(u) without wrapping.
+func scaledPerArc(g *graph.Graph, p, q int64) (perArc int64, ok bool) {
 	minW, maxW := g.WeightRange()
 	absW := maxW
 	if -minW > absW {
 		absW = -minW
 	}
-	perArc := q*absW + abs64(p)
+	perArc = q*absW + abs64(p)
 	if perArc < 0 {
-		return true
+		return 0, false
 	}
 	n := int64(g.NumNodes()) + 1
 	const safe = int64(1) << 62
-	return perArc > safe/n
+	return perArc, perArc <= safe/n
 }
 
 func abs64(x int64) int64 {
@@ -221,13 +230,20 @@ func finishExact(g *graph.Graph, lambda numeric.Rat, cycle []graph.ArcID, counts
 // once per cycle with the arc sequence; the slice is reused across calls.
 func policyCycles(g *graph.Graph, policy []graph.ArcID, fn func(cycle []graph.ArcID)) {
 	var s pcScratch
-	s.policyCycles(g, policy, fn)
+	s.policyCycles(g, policy, fn, nil)
 }
 
-// policyCycles is the scratch-reusing form of the free function: Howard's
-// algorithm calls it once per policy iteration, so the traversal buffers
-// live in the solver's pooled workspace instead of being reallocated.
-func (s *pcScratch) policyCycles(g *graph.Graph, policy []graph.ArcID, fn func(cycle []graph.ArcID)) {
+// policyCycles is the scratch-reusing form of the free function, the one
+// functional-graph walker behind Howard's iterations, Madani's seed and OA's
+// endgame. Walks start at every node no earlier walk reached, in node order,
+// and follow policy arcs until they meet a node already seen. A walk that
+// meets itself has closed a new cycle: fn gets its arcs in walk order,
+// starting with the arc out of the node where the walk entered it. tail, when
+// non-nil, then gets the walk's nodes before that cycle (all of them when
+// the walk ran into an earlier walk's node), in walk order, so the last
+// one's policy successor is already on a reported cycle or an earlier walk.
+// Both slices are reused across calls.
+func (s *pcScratch) policyCycles(g *graph.Graph, policy []graph.ArcID, fn func(cycle []graph.ArcID), tail func(walk []graph.NodeID)) {
 	n := len(policy)
 	s.state = grow(s.state, n) // 0 unvisited, 1 in current walk, 2 done
 	for i := range s.state {
@@ -235,6 +251,7 @@ func (s *pcScratch) policyCycles(g *graph.Graph, policy []graph.ArcID, fn func(c
 	}
 	s.walkPos = grow(s.walkPos, n)
 	state, walkPos := s.state, s.walkPos
+	arcs := g.Arcs()
 	walk := s.walk[:0]
 	cycle := s.cycle[:0]
 	defer func() { s.walk, s.cycle = walk, cycle }()
@@ -248,16 +265,20 @@ func (s *pcScratch) policyCycles(g *graph.Graph, policy []graph.ArcID, fn func(c
 			state[v] = 1
 			walkPos[v] = int32(len(walk))
 			walk = append(walk, v)
-			v = g.Arc(policy[v]).To
+			v = arcs[policy[v]].To
 		}
+		end := len(walk)
 		if state[v] == 1 {
 			// Nodes from walkPos[v] onward form a cycle.
-			start := walkPos[v]
+			end = int(walkPos[v])
 			cycle = cycle[:0]
-			for i := start; i < int32(len(walk)); i++ {
-				cycle = append(cycle, policy[walk[i]])
+			for _, u := range walk[end:] {
+				cycle = append(cycle, policy[u])
 			}
 			fn(cycle)
+		}
+		if tail != nil && end > 0 {
+			tail(walk[:end])
 		}
 		for _, u := range walk {
 			state[u] = 2

@@ -6,9 +6,13 @@ package core
 // is recomputed in exact arithmetic, and optimality is proven by checking —
 // entirely in scaled int64 arithmetic — that the graph reweighted by
 // q·w(e) − p admits no negative cycle (the paper's Equation 1 feasibility
-// certificate for λ = p/q). A Result that carries a Certificate is therefore
-// exact unconditionally: its value does not rest on any solver's float
-// epsilon, only on two Bellman–Ford facts checkable in O(nm) integer steps.
+// certificate for λ = p/q). When the solver handed over node potentials π
+// (Howard's and Madani's fixed points do), that check is one O(m) pass:
+// q·w(u→v) − p + π(v) − π(u) ≥ 0 on every arc, which summed around any
+// cycle bounds its mean below by λ. Without potentials, or when they fail,
+// an O(nm) Bellman–Ford decides instead. A Result that carries a
+// Certificate is therefore exact unconditionally: its value does not rest
+// on any solver's float epsilon, only on integer facts checked here.
 //
 // This file also hosts the panic-free error boundary: the int64 rational
 // helpers in internal/numeric panic on overflow (they are leaf arithmetic,
@@ -22,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/counter"
 	"repro/internal/graph"
 	"repro/internal/numeric"
 	"repro/internal/obs"
@@ -122,17 +127,67 @@ func certifyMeanProof(g *graph.Graph, res *Result) error {
 		return fmt.Errorf("%w: witness cycle mean %v does not equal claimed λ* = %v", ErrCertification, cycVal, value)
 	}
 	p, q := value.Num(), value.Den()
-	if scaledOverflows(g, p, q) {
+	perArc, ok := scaledPerArc(g, p, q)
+	if !ok {
 		return fmt.Errorf("%w: feasibility check at λ = %v would overflow", ErrNumericRange, value)
 	}
-	if neg, _ := hasNegativeCycleScaled(g, p, q, &res.Counts); neg {
-		return fmt.Errorf("%w: a cycle with mean below %v exists", ErrCertification, value)
+	pi := res.potentials
+	if !potentialsInRange(pi, g.NumNodes(), perArc) || !feasiblePotentials(g, p, q, pi, &res.Counts) {
+		if neg, _ := hasNegativeCycleScaled(g, p, q, &res.Counts); neg {
+			return fmt.Errorf("%w: a cycle with mean below %v exists", ErrCertification, value)
+		}
 	}
 	res.Mean = value
 	res.Cycle = cycle
 	res.Exact = true
+	res.potentials = nil
 	res.Certificate = &Certificate{Value: value, Witness: cycle, MaxDen: maxDen, Snapped: snapped}
 	return nil
+}
+
+// potentialsInRange reports whether pi holds one potential per node of an
+// n-node graph, each within the ±(n−1)·perArc that a path of reduced
+// weights can reach. Potentials a solver produced always qualify; the check
+// keeps forged or corrupted ones from wrapping feasiblePotentials' sums.
+func potentialsInRange(pi []int64, n int, perArc int64) bool {
+	if len(pi) != n {
+		return false
+	}
+	bound := int64(n-1) * perArc
+	for _, x := range pi {
+		if x < -bound || x > bound {
+			return false
+		}
+	}
+	return true
+}
+
+// feasiblePotentials reports whether pi proves that no cycle of g has mean
+// below λ = p/q: every arc u→v satisfies q·w − p + π(v) − π(u) ≥ 0, and the
+// potentials cancel when that is summed around a cycle. pi must pass
+// potentialsInRange for a perArc from scaledPerArc, which keeps every sum
+// inside int64. The pass is counted as one negative-cycle check of m
+// relaxations.
+func feasiblePotentials(g *graph.Graph, p, q int64, pi []int64, counts *counter.Counts) bool {
+	counts.NegativeCycleChecks++
+	counts.Relaxations += g.NumArcs()
+	for _, a := range g.Arcs() {
+		if q*a.Weight-p+pi[a.To]-pi[a.From] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// potentialsFromDist converts distances d with d(v) ≤ d(u) + q·w − p on
+// every arc u→v (Bellman–Ford's, or Madani's fixed-point values) into a
+// fresh slice of the potentials feasiblePotentials checks: π = −d.
+func potentialsFromDist(d []int64) []int64 {
+	pi := make([]int64, len(d))
+	for v, x := range d {
+		pi[v] = -x
+	}
+	return pi
 }
 
 // RecoverNumericRange is the deferred half of the panic-free boundary: it

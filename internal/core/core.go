@@ -111,10 +111,13 @@ type Options struct {
 	// snapped to the unique rational with denominator ≤ n (continued-
 	// fraction recovery, a no-op for the exact solvers), the critical
 	// cycle's value is recomputed in exact arithmetic, and optimality is
-	// verified with an exact Bellman–Ford no-negative-cycle check on the
-	// reweighted graph. The proof is attached as Result.Certificate; a
-	// failed proof returns ErrCertification instead of an unverified
-	// answer. Costs one O(nm) integer Bellman–Ford pass per solve.
+	// verified by an exact no-negative-cycle check on the reweighted graph.
+	// The proof is attached as Result.Certificate; a failed proof returns
+	// ErrCertification instead of an unverified answer. The check costs one
+	// O(m) integer pass when the solver's fixed point supplies node
+	// potentials (howard and madani on a graph that is one strongly
+	// connected component, unkernelized or with nothing to reduce), and
+	// one O(nm) Bellman–Ford pass otherwise.
 	Certify bool
 
 	// Approx parameterizes the "approx" algorithm (the streaming
@@ -212,6 +215,13 @@ type Result struct {
 	// Certificate is the exact optimality proof, present if and only if the
 	// run was driven with Options.Certify and the proof succeeded.
 	Certificate *Certificate
+
+	// potentials are node potentials of the solved graph that prove Mean
+	// in one pass (see feasiblePotentials). Solvers whose fixed point holds
+	// them set them only under Options.Certify; certification consumes
+	// them, and drivers drop them when they do not index the certified
+	// graph (see keepPotentials).
+	potentials []int64
 }
 
 // Lambda returns λ* as a float64 convenience.
@@ -380,8 +390,9 @@ func minimumCycleMeanAny(g *graph.Graph, algo Algorithm, opt Options) (Result, e
 		)
 		sub := opt
 		sub.traceComponent = ci + 1
+		var kern *prep.Kernel
 		if opt.Kernelize {
-			kern := scratch.KernelizeTraced(comp.Graph, prep.Mean, opt.Tracer, ci)
+			kern = scratch.KernelizeTraced(comp.Graph, prep.Mean, opt.Tracer, ci)
 			if found && kern.Err == nil && kern.HasBounds && !kern.Lower.Less(best.Mean) {
 				// Cross-SCC pruning: every cycle of this component has mean
 				// at least kern.Lower ≥ the incumbent, so it cannot win —
@@ -398,6 +409,9 @@ func minimumCycleMeanAny(g *graph.Graph, algo Algorithm, opt Options) (Result, e
 		}
 		if err != nil {
 			return Result{}, fmt.Errorf("core: %s on component of %d nodes: %w", algo.Name(), comp.Graph.NumNodes(), err)
+		}
+		if !keepPotentials(g, comps, kern) {
+			r.potentials = nil
 		}
 		total.Add(r.Counts)
 		// Translate cycle arcs back to g.
@@ -425,6 +439,20 @@ func minimumCycleMeanAny(g *graph.Graph, algo Algorithm, opt Options) (Result, e
 	best.Counts = total
 	mergeErrorBound(&best, minLower, anyBound)
 	return best, nil
+}
+
+// keepPotentials reports whether node potentials from the solve of comps[0]
+// also index g, so certification can check them as they are: one cyclic
+// component spans every node of g (components list their nodes in
+// ascending order, so node IDs coincide) and was solved on itself — kern is
+// nil, or an identity kernel aliasing the component. Otherwise the
+// potentials belong to a smaller or renumbered graph and certification
+// runs Bellman–Ford.
+func keepPotentials(g *graph.Graph, comps []graph.Component, kern *prep.Kernel) bool {
+	if len(comps) != 1 || comps[0].Graph.NumNodes() != g.NumNodes() {
+		return false
+	}
+	return kern == nil || kern.G == comps[0].Graph
 }
 
 // mergeErrorBound widens the winning component's certified interval to

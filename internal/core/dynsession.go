@@ -657,6 +657,9 @@ func (d *DynSession) solveComp(ci int, c *dynComp, opt Options, tr *obs.Trace) e
 			Nodes: c.g.NumNodes(), Arcs: c.g.NumArcs(), WarmStart: warmed})
 		start = time.Now()
 	}
+	// Certification runs Bellman–Ford against the session's snapshot, whose
+	// node IDs differ from the component's, so Howard keeps no potentials.
+	opt.Certify = false
 	r, policy, err := howardRun(c.g, opt, warm, true)
 	if tr.Enabled() {
 		tr.SolverDone(obs.SolverDoneEvent{Algorithm: "howard", Component: ci,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/counter"
 	"repro/internal/graph"
 	"repro/internal/numeric"
@@ -86,14 +88,14 @@ func (madaniAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 			bestCyc = append(bestCyc[:0], cycle...)
 			haveCand = true
 		}
-	})
+	}, nil)
 	if !haveCand {
 		return Result{}, ErrIterationLimit // impossible: out-degree 1 everywhere
 	}
 
 	p, q := cand.Num(), cand.Den()
 	if scaledOverflows(g, p, q) {
-		return Result{}, ErrWeightRange
+		return Result{}, fmt.Errorf("%w: madani's candidate λ = %v", ErrNumericRange, cand)
 	}
 
 	// Index reset (step 3): zeroed values, cleared parents. Runs once per
@@ -130,10 +132,14 @@ func (madaniAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 		}
 		if !changed {
 			// Exact fixed point: d certifies feasibility of λ = cand, and
-			// bestCyc achieves it.
+			// bestCyc achieves it. Under Certify, d goes to the certifier.
 			cycle := make([]graph.ArcID, len(bestCyc))
 			copy(cycle, bestCyc)
-			return Result{Mean: cand, Cycle: cycle, Exact: true, Counts: counts}, nil
+			res := Result{Mean: cand, Cycle: cycle, Exact: true, Counts: counts}
+			if opt.Certify {
+				res.potentials = potentialsFromDist(d)
+			}
+			return res, nil
 		}
 
 		// Loop contraction: scan the parent graph for cycles; every one found
@@ -154,7 +160,7 @@ func (madaniAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 		if improved {
 			p, q = cand.Num(), cand.Den()
 			if scaledOverflows(g, p, q) {
-				return Result{}, ErrWeightRange
+				return Result{}, fmt.Errorf("%w: madani's candidate λ = %v", ErrNumericRange, cand)
 			}
 			reset()
 		}

@@ -72,6 +72,9 @@ func minimumCycleMeanParallel(algo Algorithm, opt Options, comps []graph.Compone
 				}
 				partial[w].Add(r.Counts)
 				r.Counts = counter.Counts{}
+				// With several components, potentials never index the
+				// driver's graph (see keepPotentials).
+				r.potentials = nil
 				cycle := make([]graph.ArcID, len(r.Cycle))
 				for j, id := range r.Cycle {
 					cycle[j] = comps[i].ArcMap[id]

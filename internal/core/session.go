@@ -6,7 +6,7 @@ package core
 // with only arc weights perturbed between solves (timing updates, what-if
 // edits). Howard's policy iteration converges to the exact optimum from ANY
 // structurally valid starting policy — every return is gated by an exact
-// Bellman–Ford certificate — so the previous solve's optimal policy is a
+// feasibility certificate — so the previous solve's optimal policy is a
 // correct warm start for the next one, and when weights moved only a little
 // the warm-started run typically converges in one or two iterations instead
 // of rebuilding the policy from the cheapest-arc guess.
@@ -155,6 +155,9 @@ func (s *Session) solve(g *graph.Graph, opt Options) (res Result, err error) {
 		}
 		if err != nil {
 			return Result{}, err
+		}
+		if !keepPotentials(g, comps, nil) {
+			r.potentials = nil
 		}
 
 		s.mu.Lock()

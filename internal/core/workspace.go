@@ -34,50 +34,78 @@ func grow[T any](s []T, n int) []T {
 
 // howardWS is the per-run scratch state of Howard's algorithm.
 type howardWS struct {
-	policy     []graph.ArcID
-	gain       []numeric.Rat
-	gainRank   []int32
-	gainSet    []bool
-	cycleSeq   []int32
-	d          []float64
-	childHead  []int32
-	childNext  []int32
-	queue      []graph.NodeID
+	// out holds every out-arc in CSR order, outStart[v]:outStart[v+1]
+	// being v's row, so the improvement sweep reads arcs sequentially.
+	out      []howardArc
+	outStart []int32
+	policy   []graph.ArcID
+	polTo    []graph.NodeID // head of each node's policy arc
+	polW     []float64      // weight of each node's policy arc
+	node     []howardNode
+	// cycleGains lists this iteration's policy-cycle means in the order
+	// the walk closed them; howardNode.seq indexes it.
 	cycleGains []numeric.Rat
 	rankIdx    []int32
 	ranks      []int32
 	bestCyc    []graph.ArcID
 	pc         pcScratch
+	pi         []int64 // exact potentials of the converged policy
 	bfDist     []int64
 	bfParent   []graph.ArcID
 }
 
+// howardArc is one out-arc as the improvement sweep reads it.
+type howardArc struct {
+	w  float64
+	to graph.NodeID
+	id graph.ArcID
+}
+
+// howardNode is one node's value-determination state, kept together so the
+// sweep reads an arc head's bias, gain and gain rank from one place.
+type howardNode struct {
+	d    float64 // bias
+	gain float64 // Float64 of the node's exact basin gain
+	rank int32   // rank of the gain among this iteration's distinct gains
+	seq  int32   // index of the node's policy cycle in cycleGains
+}
+
 var howardPool = sync.Pool{New: func() any { return new(howardWS) }}
 
-func getHowardWS(n int) *howardWS {
+// getHowardWS returns a workspace sized for g with the CSR arc rows filled.
+func getHowardWS(g *graph.Graph) *howardWS {
 	var ws *howardWS
 	if disableWorkspacePools.Load() {
 		ws = new(howardWS)
 	} else {
 		ws = howardPool.Get().(*howardWS)
 	}
+	n := g.NumNodes()
 	ws.policy = grow(ws.policy, n)
-	ws.gain = grow(ws.gain, n)
-	ws.gainRank = grow(ws.gainRank, n)
-	ws.gainSet = grow(ws.gainSet, n)
-	ws.cycleSeq = grow(ws.cycleSeq, n)
-	ws.childHead = grow(ws.childHead, n)
-	ws.childNext = grow(ws.childNext, n)
+	ws.polTo = grow(ws.polTo, n)
+	ws.polW = grow(ws.polW, n)
+	ws.pi = grow(ws.pi, n)
 	ws.bfDist = grow(ws.bfDist, n)
 	ws.bfParent = grow(ws.bfParent, n)
+	ws.outStart = grow(ws.outStart, n+1)
+	ws.out = grow(ws.out, g.NumArcs())
+	arcs := g.Arcs()
+	k := int32(0)
+	for v := graph.NodeID(0); int(v) < n; v++ {
+		ws.outStart[v] = k
+		for _, id := range g.OutArcs(v) {
+			ws.out[k] = howardArc{w: float64(arcs[id].Weight), to: arcs[id].To, id: id}
+			k++
+		}
+	}
+	ws.outStart[n] = k
 	// Biases must start at zero: the value-determination step keeps each
 	// cycle's normalization node at its previous bias, so stale values from
 	// an earlier run would change the iteration trajectory.
-	ws.d = grow(ws.d, n)
-	for i := range ws.d {
-		ws.d[i] = 0
+	ws.node = grow(ws.node, n)
+	for i := range ws.node {
+		ws.node[i] = howardNode{}
 	}
-	ws.queue = ws.queue[:0]
 	ws.cycleGains = ws.cycleGains[:0]
 	ws.bestCyc = ws.bestCyc[:0]
 	return ws
@@ -151,7 +179,7 @@ func (ws *madaniWS) release() {
 }
 
 // pcScratch holds the functional-graph traversal state of policyCycles so
-// Howard's per-iteration cycle sweep reuses one set of buffers.
+// Howard's per-iteration walk reuses one set of buffers.
 type pcScratch struct {
 	state   []int32
 	walkPos []int32
