@@ -113,7 +113,7 @@ fuzz-smoke:
 # alloc pins unchanged — and the obs event plumbing must emit correctly.
 trace-gate:
 	$(GO) test -run 'TestNilTraceZeroAllocs|TestEmptyTraceZeroAllocs' -count=1 ./internal/obs
-	$(GO) test -run 'AllocsPerOpPinned' -count=1 ./internal/core
+	$(GO) test -run 'AllocsPerOpPinned' -count=1 ./internal/core ./internal/ratio
 	$(GO) test -run 'TestTrace' -count=1 ./internal/core
 
 # Live-serving smoke: mcmbench -serve must expose non-zero solver counters

@@ -9,30 +9,45 @@ import (
 )
 
 // scaledOverflows reports whether exact int64 arithmetic on the reduced
-// weights q·w − p of g could overflow; see scaledPerArc.
-func scaledOverflows(g *graph.Graph, p, q int64) bool {
-	_, ok := scaledPerArc(g, p, q)
+// weights q·w − p·t of g could overflow; see scaledPerArc.
+func scaledOverflows(g *graph.Graph, p, q, maxT int64) bool {
+	_, ok := scaledPerArc(g, p, q, maxT)
 	return !ok
 }
 
-// scaledPerArc bounds the reduced arc weights of G_λ at λ = p/q, returning
-// perArc ≥ max|q·w − p|, and reports whether n + 1 of them summed stay
-// inside ±2^62. When ok, every path sum of at most n arcs, and so every
-// Bellman–Ford distance and every potential within ±(n−1)·perArc, leaves
-// room for the per-arc checks q·w − p + π(v) − π(u) without wrapping.
-func scaledPerArc(g *graph.Graph, p, q int64) (perArc int64, ok bool) {
+// scaledPerArc bounds the reduced arc weights of G_λ at λ = p/q when every
+// transit lies in [−maxT, maxT] (maxT = 1 for a mean solve), returning
+// perArc = q·max|w| + |p|·maxT ≥ max|q·w − p·t| from checked products, and
+// reports whether n + 1 of them summed stay inside ±2^62. When ok, every
+// path sum of at most n arcs, and so every Bellman–Ford distance and every
+// potential within ±(n−1)·perArc, leaves room for the per-arc checks
+// q·w − p·t + π(v) − π(u) without wrapping.
+func scaledPerArc(g *graph.Graph, p, q, maxT int64) (perArc int64, ok bool) {
 	minW, maxW := g.WeightRange()
 	absW := maxW
 	if -minW > absW {
 		absW = -minW
 	}
-	perArc = q*absW + abs64(p)
+	absP := abs64(p)
+	const safe = int64(1) << 62
+	if absP < 0 || (absW != 0 && q > safe/absW) || (maxT != 0 && absP > safe/maxT) {
+		return 0, false
+	}
+	perArc = q*absW + absP*maxT
 	if perArc < 0 {
 		return 0, false
 	}
 	n := int64(g.NumNodes()) + 1
-	const safe = int64(1) << 62
 	return perArc, perArc <= safe/n
+}
+
+// transit returns the transit time of a as a solve reads it: 1 for a mean
+// solve (unit), the arc's Transit field otherwise.
+func transit(a graph.Arc, unit bool) int64 {
+	if unit {
+		return 1
+	}
+	return a.Transit
 }
 
 func abs64(x int64) int64 {
@@ -49,14 +64,15 @@ func abs64(x int64) int64 {
 // otherwise. counts, if non-nil, accumulates relaxation counts.
 func bellmanFordScaled(g *graph.Graph, p, q int64, counts *counter.Counts) (dist []int64, negCycle []graph.ArcID) {
 	n := g.NumNodes()
-	return bellmanFordScaledInto(g, p, q, counts, make([]int64, n), make([]graph.ArcID, n))
+	return bellmanFordScaledInto(g, p, q, true, counts, make([]int64, n), make([]graph.ArcID, n))
 }
 
-// bellmanFordScaledInto is bellmanFordScaled with caller-provided scratch
-// (both slices must have length g.NumNodes()); the returned dist aliases
-// the provided slice. Hot paths pass pooled workspace slices so repeated
-// feasibility checks allocate nothing.
-func bellmanFordScaledInto(g *graph.Graph, p, q int64, counts *counter.Counts, dist []int64, parent []graph.ArcID) ([]int64, []graph.ArcID) {
+// bellmanFordScaledInto is bellmanFordScaled on the reduced weights
+// q·w(e) − p·t(e), with t read through transit, and with caller-provided
+// scratch (both slices must have length g.NumNodes()); the returned dist
+// aliases the provided slice. Hot paths pass pooled workspace slices so
+// repeated feasibility checks allocate nothing.
+func bellmanFordScaledInto(g *graph.Graph, p, q int64, unit bool, counts *counter.Counts, dist []int64, parent []graph.ArcID) ([]int64, []graph.ArcID) {
 	n := g.NumNodes()
 	for i := range dist {
 		dist[i] = 0
@@ -72,7 +88,7 @@ func bellmanFordScaledInto(g *graph.Graph, p, q int64, counts *counter.Counts, d
 			if counts != nil {
 				counts.Relaxations++
 			}
-			w := q*a.Weight - p
+			w := q*a.Weight - p*transit(a, unit)
 			if nd := dist[a.From] + w; nd < dist[a.To] {
 				dist[a.To] = nd
 				parent[a.To] = graph.ArcID(id)
@@ -112,16 +128,17 @@ func bellmanFordScaledInto(g *graph.Graph, p, q int64, counts *counter.Counts, d
 // returning one if so.
 func hasNegativeCycleScaled(g *graph.Graph, p, q int64, counts *counter.Counts) (bool, []graph.ArcID) {
 	n := g.NumNodes()
-	return hasNegativeCycleScaledInto(g, p, q, counts, make([]int64, n), make([]graph.ArcID, n))
+	return hasNegativeCycleScaledInto(g, p, q, true, counts, make([]int64, n), make([]graph.ArcID, n))
 }
 
-// hasNegativeCycleScaledInto is hasNegativeCycleScaled with caller-provided
-// scratch; see bellmanFordScaledInto.
-func hasNegativeCycleScaledInto(g *graph.Graph, p, q int64, counts *counter.Counts, dist []int64, parent []graph.ArcID) (bool, []graph.ArcID) {
+// hasNegativeCycleScaledInto is hasNegativeCycleScaled on the reduced
+// weights q·w − p·t, with caller-provided scratch; see
+// bellmanFordScaledInto.
+func hasNegativeCycleScaledInto(g *graph.Graph, p, q int64, unit bool, counts *counter.Counts, dist []int64, parent []graph.ArcID) (bool, []graph.ArcID) {
 	if counts != nil {
 		counts.NegativeCycleChecks++
 	}
-	_, neg := bellmanFordScaledInto(g, p, q, counts, dist, parent)
+	_, neg := bellmanFordScaledInto(g, p, q, unit, counts, dist, parent)
 	return neg != nil, neg
 }
 
@@ -133,13 +150,13 @@ func hasNegativeCycleScaledInto(g *graph.Graph, p, q int64, counts *counter.Coun
 // exactly λ*.
 func extractCriticalCycle(g *graph.Graph, lambda numeric.Rat) ([]graph.ArcID, error) {
 	p, q := lambda.Num(), lambda.Den()
-	if scaledOverflows(g, p, q) {
+	if scaledOverflows(g, p, q, 1) {
 		return nil, ErrWeightRange
 	}
 	n := g.NumNodes()
 	ws := getExtractWS(n)
 	defer ws.release()
-	dist, neg := bellmanFordScaledInto(g, p, q, nil, ws.dist, ws.parent)
+	dist, neg := bellmanFordScaledInto(g, p, q, true, nil, ws.dist, ws.parent)
 	if neg != nil {
 		return nil, fmt.Errorf("core: λ = %v is below the minimum cycle mean", lambda)
 	}
@@ -223,65 +240,4 @@ func finishExact(g *graph.Graph, lambda numeric.Rat, cycle []graph.ArcID, counts
 		}
 	}
 	return Result{Mean: lambda, Cycle: cycle, Exact: true, Counts: counts}, nil
-}
-
-// policyCycles finds all cycles of a functional graph given by one chosen
-// out-arc per node (arc IDs into g; policy[v] must leave v). fn is called
-// once per cycle with the arc sequence; the slice is reused across calls.
-func policyCycles(g *graph.Graph, policy []graph.ArcID, fn func(cycle []graph.ArcID)) {
-	var s pcScratch
-	s.policyCycles(g, policy, fn, nil)
-}
-
-// policyCycles is the scratch-reusing form of the free function, the one
-// functional-graph walker behind Howard's iterations, Madani's seed and OA's
-// endgame. Walks start at every node no earlier walk reached, in node order,
-// and follow policy arcs until they meet a node already seen. A walk that
-// meets itself has closed a new cycle: fn gets its arcs in walk order,
-// starting with the arc out of the node where the walk entered it. tail, when
-// non-nil, then gets the walk's nodes before that cycle (all of them when
-// the walk ran into an earlier walk's node), in walk order, so the last
-// one's policy successor is already on a reported cycle or an earlier walk.
-// Both slices are reused across calls.
-func (s *pcScratch) policyCycles(g *graph.Graph, policy []graph.ArcID, fn func(cycle []graph.ArcID), tail func(walk []graph.NodeID)) {
-	n := len(policy)
-	s.state = grow(s.state, n) // 0 unvisited, 1 in current walk, 2 done
-	for i := range s.state {
-		s.state[i] = 0
-	}
-	s.walkPos = grow(s.walkPos, n)
-	state, walkPos := s.state, s.walkPos
-	arcs := g.Arcs()
-	walk := s.walk[:0]
-	cycle := s.cycle[:0]
-	defer func() { s.walk, s.cycle = walk, cycle }()
-	for root := 0; root < n; root++ {
-		if state[root] != 0 {
-			continue
-		}
-		walk = walk[:0]
-		v := graph.NodeID(root)
-		for state[v] == 0 {
-			state[v] = 1
-			walkPos[v] = int32(len(walk))
-			walk = append(walk, v)
-			v = arcs[policy[v]].To
-		}
-		end := len(walk)
-		if state[v] == 1 {
-			// Nodes from walkPos[v] onward form a cycle.
-			end = int(walkPos[v])
-			cycle = cycle[:0]
-			for _, u := range walk[end:] {
-				cycle = append(cycle, policy[u])
-			}
-			fn(cycle)
-		}
-		if tail != nil && end > 0 {
-			tail(walk[:end])
-		}
-		for _, u := range walk {
-			state[u] = 2
-		}
-	}
 }

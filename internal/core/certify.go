@@ -127,12 +127,12 @@ func certifyMeanProof(g *graph.Graph, res *Result) error {
 		return fmt.Errorf("%w: witness cycle mean %v does not equal claimed λ* = %v", ErrCertification, cycVal, value)
 	}
 	p, q := value.Num(), value.Den()
-	perArc, ok := scaledPerArc(g, p, q)
+	perArc, ok := scaledPerArc(g, p, q, 1)
 	if !ok {
 		return fmt.Errorf("%w: feasibility check at λ = %v would overflow", ErrNumericRange, value)
 	}
 	pi := res.potentials
-	if !potentialsInRange(pi, g.NumNodes(), perArc) || !feasiblePotentials(g, p, q, pi, &res.Counts) {
+	if !potentialsInRange(pi, g.NumNodes(), perArc) || !feasiblePotentials(g, p, q, true, pi, &res.Counts) {
 		if neg, _ := hasNegativeCycleScaled(g, p, q, &res.Counts); neg {
 			return fmt.Errorf("%w: a cycle with mean below %v exists", ErrCertification, value)
 		}
@@ -162,17 +162,17 @@ func potentialsInRange(pi []int64, n int, perArc int64) bool {
 	return true
 }
 
-// feasiblePotentials reports whether pi proves that no cycle of g has mean
-// below λ = p/q: every arc u→v satisfies q·w − p + π(v) − π(u) ≥ 0, and the
-// potentials cancel when that is summed around a cycle. pi must pass
-// potentialsInRange for a perArc from scaledPerArc, which keeps every sum
-// inside int64. The pass is counted as one negative-cycle check of m
-// relaxations.
-func feasiblePotentials(g *graph.Graph, p, q int64, pi []int64, counts *counter.Counts) bool {
+// feasiblePotentials reports whether pi proves that no cycle of g has value
+// below λ = p/q: every arc u→v satisfies q·w − p·t + π(v) − π(u) ≥ 0, with t
+// read through transit, and the potentials cancel when that is summed
+// around a cycle. pi must pass potentialsInRange for a perArc from
+// scaledPerArc, which keeps every sum inside int64. The pass is counted as
+// one negative-cycle check of m relaxations.
+func feasiblePotentials(g *graph.Graph, p, q int64, unit bool, pi []int64, counts *counter.Counts) bool {
 	counts.NegativeCycleChecks++
 	counts.Relaxations += g.NumArcs()
 	for _, a := range g.Arcs() {
-		if q*a.Weight-p+pi[a.To]-pi[a.From] < 0 {
+		if q*a.Weight-p*transit(a, unit)+pi[a.To]-pi[a.From] < 0 {
 			return false
 		}
 	}

@@ -332,6 +332,31 @@ func TestEpsilonModeApproximation(t *testing.T) {
 	}
 }
 
+// TestLawlerFineEpsilonKeepsExactGrid: an ε whose grid ⌈1/ε⌉ is too fine
+// for int64, or for the scaled arithmetic on these weights, asks for more
+// than the exact n² + 1 grid gives, so Lawler must return the exact λ*
+// rather than a range error or a grid clamped to spacing 1/2.
+func TestLawlerFineEpsilonKeepsExactGrid(t *testing.T) {
+	g, err := gen.Sprand(gen.SprandConfig{N: 50, M: 200, MinWeight: -1000, MaxWeight: 1000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := mustAlgo(t, "howard").Solve(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{1e-15, 1e-18, 1e-19, 1e-30} {
+		res, err := mustAlgo(t, "lawler").Solve(g, Options{Epsilon: eps})
+		if err != nil {
+			t.Errorf("ε = %g: %v", eps, err)
+			continue
+		}
+		if !res.Exact || !res.Mean.Equal(exact.Mean) {
+			t.Errorf("ε = %g: λ = %v (exact %v), want howard's %v exactly", eps, res.Mean, res.Exact, exact.Mean)
+		}
+	}
+}
+
 func TestParallelArcsAndSelfLoops(t *testing.T) {
 	// Parallel arcs where the cheaper one matters, plus a competing
 	// self-loop that is optimal.

@@ -19,6 +19,10 @@ func init() {
 // practice even though its only proven bounds (including the paper's two
 // new ones, O(nmα) and O(n²m(w_max−w_min)/ε)) are not polynomial.
 //
+// howardRun, the repository's one Howard, solves the original cost-to-time
+// ratio form, min Σw(C)/Σt(C) over cycles C; a mean solve is the same
+// iteration with every transit read as 1 (paper §1).
+//
 // The paper's Figure 1 presents a simplified value-determination step that
 // recomputes distances only toward the single smallest policy cycle. That
 // simplification can let λ oscillate between the cycles of successive
@@ -28,9 +32,9 @@ func init() {
 //
 //  1. One walk of the out-degree-one policy graph finds its cycles and
 //     evaluates the policy on the way: every node reaches exactly one
-//     policy cycle, whose exact rational mean becomes the node's *gain*,
+//     policy cycle, whose exact rational value becomes the node's *gain*,
 //     and the node's *bias* d (float64) follows from its policy successor's,
-//     d(v) = d(pol v) + w − gain — Figure 1's lines 7–12 applied per basin.
+//     d(v) = d(pol v) + w − gain·t — Figure 1's lines 7–12 applied per basin.
 //  2. Policy improvement is lexicographic: an arc into a basin with a
 //     strictly smaller gain always wins (gains are exact rationals, so the
 //     gain vector is non-increasing and cannot oscillate); at equal gain, a
@@ -39,17 +43,31 @@ func init() {
 //
 // On convergence the smallest gain λ = p/q comes from an actual cycle, so it
 // is an exact rational, and the converged policy proves it: the integer
-// potentials π(v) = q·w(v→pol v) − p + π(pol v) of its tree, checked on
-// every arc in one O(m) pass, show that no cycle has a smaller mean. Float
-// round-off in the bias can leave a policy whose potentials miss an arc;
-// then an exact Bellman–Ford decides, and a failure there halves ε and
-// resumes. Every returned λ* is exact.
+// potentials π(v) = q·w(v→pol v) − p·t(v→pol v) + π(pol v) of its tree,
+// checked on every arc in one O(m) pass, show that no cycle has a smaller
+// value. Float round-off in the bias can leave a policy whose potentials
+// miss an arc; then an exact Bellman–Ford decides, and a failure there
+// halves ε and resumes. Every returned λ* is exact.
 type howardAlg struct{}
 
 func (howardAlg) Name() string { return "howard" }
 
 func (howardAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
-	r, _, err := howardRun(g, opt, nil, false)
+	r, _, err := howardRun(g, opt, true, nil, false)
+	return r, err
+}
+
+// HowardRatio is Howard's policy iteration on the cost-to-time ratio
+// problem: it returns ρ* = min Σw(C)/Σt(C) over the cycles C of a strongly
+// connected graph in Result.Mean, exact, with a cycle attaining it. The
+// caller validates the transits: none negative and no cycle of zero total
+// transit (internal/ratio's checkInput). Weights need not fit the mean
+// solvers' ±(2^31−1): a fixed point beyond the exact int64 arithmetic is
+// reported as ErrNumericRange. Options.Epsilon, MaxIterations and the
+// cancellation token apply as for howard; the Result carries no potentials.
+func HowardRatio(g *graph.Graph, opt Options) (Result, error) {
+	opt.Certify = false
+	r, _, err := howardRun(g, opt, false, nil, false)
 	return r, err
 }
 
@@ -70,27 +88,53 @@ func validWarmPolicy(g *graph.Graph, warm []graph.ArcID) bool {
 	return true
 }
 
-// howardRun is the full Howard iteration behind howardAlg.Solve and
-// Session's warm-started solves. A non-nil warm policy (one out-arc per
-// node) replaces the cheapest-arc initial policy when structurally valid for
-// g, and is silently ignored otherwise. When wantPolicy is set the converged
-// optimal policy is returned in a freshly allocated slice (the internal one
-// is pooled), for callers that cache policies across solves.
-func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool) (Result, []graph.ArcID, error) {
-	if err := checkSolveInput(g); err != nil {
-		return Result{}, nil, err
+// howardEpsilon is the default bias-comparison threshold,
+// 1e-10·max|w|·maxT with both factors at least 1. Each bias term is
+// w(e) − λ·t(e), and with transits ≥ 1 on cycles |λ| is bounded by the
+// weight scale, so the terms reach max|w|·(1 + maxT). A threshold from the
+// weights alone is drowned by float round-off once transits dwarf weights
+// (noise ≈ n·2⁻⁵²·max|w|·maxT exceeds 1e-10·max|w| for large maxT), and
+// policy iteration then churns on noise until the iteration limit. A mean
+// solve (maxT = 1) gets 1e-10·max|w|.
+func howardEpsilon(g *graph.Graph, maxT int64) float64 {
+	minW, maxW := g.WeightRange()
+	scaleW := math.Max(1, math.Max(math.Abs(float64(minW)), math.Abs(float64(maxW))))
+	return 1e-10 * scaleW * math.Max(1, float64(maxT))
+}
+
+// howardRun is the full Howard iteration behind howardAlg.Solve,
+// HowardRatio, Session's and DynSession's warm-started solves, and the
+// kernelized driver's contracted kernels. unit selects the transit view for
+// the whole solve: true reads every transit as 1 (a mean solve, whose input
+// contract checkSolveInput enforces), false reads each arc's Transit field
+// (a ratio solve, validated by the caller). A non-nil warm policy (one
+// out-arc per node) replaces the cheapest-arc initial policy when
+// structurally valid for g, and is silently ignored otherwise. When
+// wantPolicy is set the converged optimal policy is returned in a freshly
+// allocated slice (the internal one is pooled), for callers that cache
+// policies across solves.
+func howardRun(g *graph.Graph, opt Options, unit bool, warm []graph.ArcID, wantPolicy bool) (Result, []graph.ArcID, error) {
+	maxT := int64(1)
+	if unit {
+		if err := checkSolveInput(g); err != nil {
+			return Result{}, nil, err
+		}
+	} else {
+		if g.NumNodes() == 0 || g.NumArcs() == 0 {
+			return Result{}, nil, ErrAcyclic
+		}
+		minT, hi := g.TransitRange()
+		maxT = max(hi, -minT)
 	}
 	n := g.NumNodes()
 	var counts counter.Counts
 
 	eps := opt.Epsilon
 	if eps <= 0 {
-		minW, maxW := g.WeightRange()
-		scale := math.Max(1, math.Max(math.Abs(float64(minW)), math.Abs(float64(maxW))))
-		eps = 1e-10 * scale
+		eps = howardEpsilon(g, maxT)
 	}
 
-	ws := getHowardWS(g)
+	ws := getHowardWS(g, unit)
 	defer ws.release()
 
 	// Initial policy: a valid warm start wins, else cheapest out-arc
@@ -114,9 +158,10 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 		}
 	}
 	arcs := g.Arcs()
-	polTo, polW := ws.polTo, ws.polW
+	polTo, polW, polT := ws.polTo, ws.polW, ws.polT
 	for v, id := range policy {
-		polTo[v], polW[v] = arcs[id].To, float64(arcs[id].Weight)
+		a := arcs[id]
+		polTo[v], polW[v], polT[v] = a.To, float64(a.Weight), float64(transit(a, unit))
 	}
 
 	node := ws.node // biases zeroed by getHowardWS
@@ -137,7 +182,11 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 	// and bias, last node first.
 	evalCycle := func(cycle []graph.ArcID) {
 		counts.CyclesExamined++
-		r := numeric.NewRat(g.CycleWeight(cycle), int64(len(cycle)))
+		den := int64(len(cycle))
+		if !unit {
+			den = g.CycleTransit(cycle)
+		}
+		r := numeric.NewRat(g.CycleWeight(cycle), den)
 		if !haveBest || r.Less(bestGain) {
 			bestGain = r
 			bestCycBuf = append(bestCycBuf[:0], cycle...)
@@ -161,7 +210,7 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 			}
 			a := arcs[cycle[i]]
 			nv := &node[a.From]
-			nv.d = node[a.To].d + float64(a.Weight) - rf
+			nv.d = node[a.To].d + float64(a.Weight) - rf*polT[a.From]
 			nv.gain, nv.seq = rf, seq
 		}
 	}
@@ -170,7 +219,7 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 			v := walk[i]
 			next := node[polTo[v]]
 			nv := &node[v]
-			nv.d = next.d + polW[v] - next.gain
+			nv.d = next.d + polW[v] - next.gain*polT[v]
 			nv.gain, nv.seq = next.gain, next.seq
 		}
 	}
@@ -184,7 +233,7 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 
 		cycleGains = cycleGains[:0]
 		haveBest = false
-		ws.pc.policyCycles(g, policy, evalCycle, evalTail)
+		ws.pc.Walk(g, policy, evalCycle, evalTail)
 		if !haveBest {
 			return Result{}, nil, ErrIterationLimit // impossible: out-degree 1 everywhere
 		}
@@ -200,7 +249,7 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 		improved := false
 		for u := 0; u < n; u++ {
 			cur := node[polTo[u]]
-			curVal := cur.d + polW[u] - cur.gain
+			curVal := cur.d + polW[u] - cur.gain*polT[u]
 			best, bestRank, bestVal := -1, cur.rank, curVal
 			row := out[outStart[u]:outStart[u+1]]
 			counts.Relaxations += len(row)
@@ -210,10 +259,10 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 				switch {
 				case t.rank < bestRank:
 					bestRank = t.rank
-					bestVal = t.d + a.w - t.gain
+					bestVal = t.d + a.w - t.gain*a.t
 					best = k
 				case t.rank == bestRank:
-					if val := t.d + a.w - t.gain; val < bestVal {
+					if val := t.d + a.w - t.gain*a.t; val < bestVal {
 						bestVal = val
 						best = k
 					}
@@ -232,7 +281,7 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 				continue
 			}
 			a := row[best]
-			policy[u], polTo[u], polW[u] = a.id, a.to, a.w
+			policy[u], polTo[u], polW[u], polT[u] = a.id, a.to, a.w, a.t
 		}
 		if improved {
 			continue
@@ -243,15 +292,15 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 		// with Bellman–Ford; resume with a tighter threshold on
 		// (float-induced) failure.
 		p, q := bestGain.Num(), bestGain.Den()
-		if scaledOverflows(g, p, q) {
+		if scaledOverflows(g, p, q, maxT) {
 			return Result{}, nil, fmt.Errorf("%w: howard's fixed point λ = %v", ErrNumericRange, bestGain)
 		}
 		var potentials []int64
-		if policyPotentials(g, policy, p, q, ws.pi, &ws.pc) && feasiblePotentials(g, p, q, ws.pi, &counts) {
+		if policyPotentials(g, policy, p, q, unit, ws.pi, &ws.pc) && feasiblePotentials(g, p, q, unit, ws.pi, &counts) {
 			if opt.Certify {
 				potentials = append([]int64(nil), ws.pi...)
 			}
-		} else if neg, _ := hasNegativeCycleScaledInto(g, p, q, &counts, ws.bfDist, ws.bfParent); !neg {
+		} else if neg, _ := hasNegativeCycleScaledInto(g, p, q, unit, &counts, ws.bfDist, ws.bfParent); !neg {
 			if opt.Certify {
 				potentials = potentialsFromDist(ws.bfDist)
 			}
@@ -273,28 +322,29 @@ func howardRun(g *graph.Graph, opt Options, warm []graph.ArcID, wantPolicy bool)
 
 // policyPotentials fills pi with the exact potentials of the policy graph
 // at λ = p/q: zero at the node where the walk entered each policy cycle,
-// and π(v) = q·w(v→pol v) − p + π(pol v) everywhere else. It reports false
-// when some policy cycle's reduced weight is not exactly zero, i.e. its
-// mean is not λ; at a fixed point of a strongly connected graph every
-// policy cycle's mean is λ. Every potential is a sum of at most n−1
-// reduced weights, so scaledPerArc's bound covers it.
-func policyPotentials(g *graph.Graph, policy []graph.ArcID, p, q int64, pi []int64, pc *pcScratch) bool {
+// and π(v) = q·w(v→pol v) − p·t(v→pol v) + π(pol v) everywhere else, with t
+// read through transit. It reports false when some policy cycle's reduced
+// weight is not exactly zero, i.e. its value is not λ; at a fixed point of a
+// strongly connected graph every policy cycle's value is λ. Every potential
+// is a sum of at most n−1 reduced weights, so scaledPerArc's bound covers
+// it.
+func policyPotentials(g *graph.Graph, policy []graph.ArcID, p, q int64, unit bool, pi []int64, pc *graph.PolicyCycles) bool {
 	arcs := g.Arcs()
 	tight := true
-	pc.policyCycles(g, policy, func(cycle []graph.ArcID) {
+	pc.Walk(g, policy, func(cycle []graph.ArcID) {
 		first := arcs[cycle[0]]
 		pi[first.From] = 0
 		for i := len(cycle) - 1; i > 0; i-- {
 			a := arcs[cycle[i]]
-			pi[a.From] = q*a.Weight - p + pi[a.To]
+			pi[a.From] = q*a.Weight - p*transit(a, unit) + pi[a.To]
 		}
-		if q*first.Weight-p+pi[first.To] != 0 {
+		if q*first.Weight-p*transit(first, unit)+pi[first.To] != 0 {
 			tight = false
 		}
 	}, func(walk []graph.NodeID) {
 		for i := len(walk) - 1; i >= 0; i-- {
 			a := arcs[policy[walk[i]]]
-			pi[a.From] = q*a.Weight - p + pi[a.To]
+			pi[a.From] = q*a.Weight - p*transit(a, unit) + pi[a.To]
 		}
 	})
 	return tight

@@ -10,7 +10,8 @@ package core
 //     the caller's algorithm unchanged — kernel arc IDs map 1:1 onto paths
 //     of length one — with sharpened λ* bounds for Lawler's binary search.
 //   - A contracted kernel is a cost-to-time ratio instance (t = original
-//     arc count), solved exactly by prep.SolveKernel; any solver failure
+//     arc count), solved exactly by the ratio form of the one Howard
+//     (howardRun with transits read from the arcs); any solver failure
 //     (e.g. exact-arithmetic range) falls back to an unkernelized solve of
 //     the original component, so kernelization never changes feasibility.
 //
@@ -21,7 +22,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/counter"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/prep"
@@ -36,7 +36,7 @@ func solveComponentKernelized(algo Algorithm, opt Options, g *graph.Graph, kern 
 		return algo.Solve(g, opt)
 	}
 	if min, max := g.WeightRange(); min < -MaxWeightMagnitude || max > MaxWeightMagnitude {
-		// Closed-form candidates and prep.SolveKernel tolerate weights the
+		// Closed-form candidates and Howard's ratio form tolerate weights the
 		// mean solvers reject, but kernelization must not widen the input
 		// contract: defer to the raw solve's ErrWeightRange.
 		return algo.Solve(g, opt)
@@ -55,9 +55,10 @@ func solveComponentKernelized(algo Algorithm, opt Options, g *graph.Graph, kern 
 		)
 		if kern.Contracted {
 			// The kernel's cycle values are Σw/Σt with t = original arc
-			// count — a ratio instance the mean solvers cannot express.
-			// The closed-form ratio solver reports as algorithm "kernel".
-			var counts counter.Counts
+			// count — a ratio instance the mean solvers cannot express, so
+			// Howard solves it in ratio form whatever algo is, with its
+			// default threshold and iteration cap, and reports as algorithm
+			// "kernel". Only the caller's cancellation carries over.
 			tr := opt.Tracer
 			var start time.Time
 			if tr.Enabled() {
@@ -65,16 +66,17 @@ func solveComponentKernelized(algo Algorithm, opt Options, g *graph.Graph, kern 
 					Component: opt.traceComponent - 1, Nodes: kern.G.NumNodes(), Arcs: kern.G.NumArcs()})
 				start = time.Now()
 			}
-			mean, kcyc, serr := prep.SolveKernel(kern.G, &counts)
+			var serr error
+			r, _, serr = howardRun(kern.G, Options{cancel: opt.cancel}, false, nil, false)
 			if tr.Enabled() {
 				tr.SolverDone(obs.SolverDoneEvent{Algorithm: "kernel",
 					Component: opt.traceComponent - 1, Nodes: kern.G.NumNodes(), Arcs: kern.G.NumArcs(),
-					Duration: time.Since(start), Counts: counts, Value: mean.Float64(), Err: serr})
+					Duration: time.Since(start), Counts: r.Counts, Value: r.Mean.Float64(), Err: serr})
 			}
 			if serr != nil {
 				return algo.Solve(g, opt)
 			}
-			r = Result{Mean: mean, Cycle: kern.ExpandCycle(kcyc), Exact: true, Counts: counts}
+			r.Cycle = kern.ExpandCycle(r.Cycle)
 		} else {
 			sub := opt
 			if kern.HasBounds {

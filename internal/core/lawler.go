@@ -29,7 +29,8 @@ func init() {
 // recorded along the way has mean exactly λ* — this is the "improved
 // Lawler" the paper mentions as future work. Setting Options.Epsilon > 0
 // instead reproduces the paper's approximate variant (grid K = ⌈1/ε⌉; the
-// result is exact anyway whenever 1/K < 1/n²).
+// result is exact anyway whenever 1/K < 1/n², and an ε too fine for the
+// exact int64 arithmetic keeps K = n² + 1).
 type lawlerAlg struct{}
 
 func (lawlerAlg) Name() string { return "lawler" }
@@ -41,15 +42,18 @@ func (lawlerAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 	n := int64(g.NumNodes())
 	var counts counter.Counts
 
-	// Grid resolution.
+	// Grid resolution. A grid finer than n² + 1 is already exact, so a
+	// ⌈1/ε⌉ that int64 cannot hold, or that the scaled arithmetic cannot
+	// carry, keeps the exact grid instead of failing.
 	K := n*n + 1
 	if opt.Epsilon > 0 {
-		K = int64(math.Ceil(1 / opt.Epsilon))
-		if K < 2 {
-			K = 2
+		if f := math.Ceil(1 / opt.Epsilon); f < 1<<63 {
+			if k := max(int64(f), 2); k <= K || !scaledOverflows(g, 0, k, 1) {
+				K = k
+			}
 		}
 	}
-	if scaledOverflows(g, 0, K) {
+	if scaledOverflows(g, 0, K, 1) {
 		return Result{}, ErrWeightRange
 	}
 	exact := K > n*n

@@ -80,7 +80,7 @@ func (madaniAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 	)
 	bestCyc := ws.bestCyc[:0]
 	defer func() { ws.bestCyc = bestCyc }()
-	ws.pc.policyCycles(g, policy, func(cycle []graph.ArcID) {
+	ws.pc.Walk(g, policy, func(cycle []graph.ArcID) {
 		counts.CyclesExamined++
 		r := numeric.NewRat(g.CycleWeight(cycle), int64(len(cycle)))
 		if !haveCand || r.Less(cand) {
@@ -94,7 +94,7 @@ func (madaniAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 	}
 
 	p, q := cand.Num(), cand.Den()
-	if scaledOverflows(g, p, q) {
+	if scaledOverflows(g, p, q, 1) {
 		return Result{}, fmt.Errorf("%w: madani's candidate λ = %v", ErrNumericRange, cand)
 	}
 
@@ -159,7 +159,7 @@ func (madaniAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 		})
 		if improved {
 			p, q = cand.Num(), cand.Den()
-			if scaledOverflows(g, p, q) {
+			if scaledOverflows(g, p, q, 1) {
 				return Result{}, fmt.Errorf("%w: madani's candidate λ = %v", ErrNumericRange, cand)
 			}
 			reset()

@@ -124,11 +124,12 @@ func (a oaAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 			policy[v] = g.OutArcs(v)[0]
 		}
-		policyCycles(g, policy, func(cycle []graph.ArcID) {
+		var pc graph.PolicyCycles
+		pc.Walk(g, policy, func(cycle []graph.ArcID) {
 			c := make([]graph.ArcID, len(cycle))
 			copy(c, cycle)
 			record(c)
-		})
+		}, nil)
 		if !haveBest {
 			return Result{}, ErrAcyclic
 		}

@@ -62,7 +62,7 @@ func TestWrappedArithmeticIsNumericRange(t *testing.T) {
 // returns the raw solver result, potentials included.
 func certifiedHoward(t *testing.T, g *graph.Graph) Result {
 	t.Helper()
-	res, _, err := howardRun(g, Options{Certify: true}, nil, false)
+	res, _, err := howardRun(g, Options{Certify: true}, true, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +147,8 @@ func TestCertifierRejectsPotentialsForAWrongValue(t *testing.T) {
 	})
 	policy := []graph.ArcID{0, 2}
 	pi := make([]int64, 2)
-	var pc pcScratch
-	if !policyPotentials(g, policy, 5, 1, pi, &pc) {
+	var pc graph.PolicyCycles
+	if !policyPotentials(g, policy, 5, 1, true, pi, &pc) {
 		t.Fatal("the policy's only cycle has mean 5, so its potentials at λ = 5 must close")
 	}
 	res := Result{Mean: numeric.NewRat(5, 1), Cycle: []graph.ArcID{2}, Exact: true, potentials: pi}
@@ -173,7 +173,7 @@ func TestCertifierRangeChecksPotentials(t *testing.T) {
 		{math.MaxInt64 - 3, math.MaxInt64},
 	} {
 		pi := append([]int64(nil), forged...)
-		perArc, ok := scaledPerArc(g, 5, 1)
+		perArc, ok := scaledPerArc(g, 5, 1, 1)
 		if !ok {
 			t.Fatal("λ = 5 must be in range")
 		}
@@ -188,7 +188,7 @@ func TestCertifierRangeChecksPotentials(t *testing.T) {
 	// The first forgery is exactly the one that fools an unguarded pass:
 	// both arcs of the two-cycle wrap to large positive slacks.
 	var counts counter.Counts
-	if !feasiblePotentials(g, 5, 1, []int64{0, math.MinInt64}, &counts) {
+	if !feasiblePotentials(g, 5, 1, true, []int64{0, math.MinInt64}, &counts) {
 		t.Error("expected the unguarded pass to be fooled by wrapping; the range check would then be untested")
 	}
 	if potentialsInRange([]int64{0}, 2, 10) || potentialsInRange(nil, 2, 10) {
@@ -207,11 +207,11 @@ func TestPolicyPotentialsRejectsLooseCycle(t *testing.T) {
 	})
 	policy := []graph.ArcID{0, 1, 2}
 	pi := make([]int64, 3)
-	var pc pcScratch
-	if !policyPotentials(g, policy, 3, 1, pi, &pc) {
+	var pc graph.PolicyCycles
+	if !policyPotentials(g, policy, 3, 1, true, pi, &pc) {
 		t.Fatal("the triangle's mean is 3: potentials at λ = 3 must close")
 	}
-	if policyPotentials(g, policy, 2, 1, pi, &pc) {
+	if policyPotentials(g, policy, 2, 1, true, pi, &pc) {
 		t.Error("potentials at λ = 2 closed a cycle of mean 3")
 	}
 }
@@ -225,11 +225,11 @@ func TestHowardFallsBackToBellmanFord(t *testing.T) {
 	fellBack := false
 	for seed := uint64(0); seed < 8; seed++ {
 		g := sprandSCC(t, seed)
-		ref, _, err := howardRun(g, Options{}, nil, false)
+		ref, _, err := howardRun(g, Options{}, true, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := howardRun(g, Options{Epsilon: 1e9, Certify: true}, nil, false)
+		res, _, err := howardRun(g, Options{Epsilon: 1e9, Certify: true}, true, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}

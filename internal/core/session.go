@@ -147,7 +147,7 @@ func (s *Session) solve(g *graph.Graph, opt Options) (res Result, err error) {
 				Nodes: comp.Graph.NumNodes(), Arcs: comp.Graph.NumArcs(), WarmStart: warm != nil})
 			start = time.Now()
 		}
-		r, policy, err := howardRun(comp.Graph, opt, warm, true)
+		r, policy, err := howardRun(comp.Graph, opt, true, warm, true)
 		if tr.Enabled() {
 			tr.SolverDone(obs.SolverDoneEvent{Algorithm: "howard", Component: ci,
 				Nodes: comp.Graph.NumNodes(), Arcs: comp.Graph.NumArcs(),

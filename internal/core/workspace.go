@@ -41,6 +41,7 @@ type howardWS struct {
 	policy   []graph.ArcID
 	polTo    []graph.NodeID // head of each node's policy arc
 	polW     []float64      // weight of each node's policy arc
+	polT     []float64      // transit of each node's policy arc
 	node     []howardNode
 	// cycleGains lists this iteration's policy-cycle means in the order
 	// the walk closed them; howardNode.seq indexes it.
@@ -48,17 +49,18 @@ type howardWS struct {
 	rankIdx    []int32
 	ranks      []int32
 	bestCyc    []graph.ArcID
-	pc         pcScratch
+	pc         graph.PolicyCycles
 	pi         []int64 // exact potentials of the converged policy
 	bfDist     []int64
 	bfParent   []graph.ArcID
 }
 
-// howardArc is one out-arc as the improvement sweep reads it.
+// howardArc is one out-arc as the improvement sweep reads it; t is 1 in a
+// mean solve.
 type howardArc struct {
-	w  float64
-	to graph.NodeID
-	id graph.ArcID
+	w, t float64
+	to   graph.NodeID
+	id   graph.ArcID
 }
 
 // howardNode is one node's value-determination state, kept together so the
@@ -72,8 +74,9 @@ type howardNode struct {
 
 var howardPool = sync.Pool{New: func() any { return new(howardWS) }}
 
-// getHowardWS returns a workspace sized for g with the CSR arc rows filled.
-func getHowardWS(g *graph.Graph) *howardWS {
+// getHowardWS returns a workspace sized for g with the CSR arc rows filled,
+// their transits read through transit.
+func getHowardWS(g *graph.Graph, unit bool) *howardWS {
 	var ws *howardWS
 	if disableWorkspacePools.Load() {
 		ws = new(howardWS)
@@ -84,6 +87,7 @@ func getHowardWS(g *graph.Graph) *howardWS {
 	ws.policy = grow(ws.policy, n)
 	ws.polTo = grow(ws.polTo, n)
 	ws.polW = grow(ws.polW, n)
+	ws.polT = grow(ws.polT, n)
 	ws.pi = grow(ws.pi, n)
 	ws.bfDist = grow(ws.bfDist, n)
 	ws.bfParent = grow(ws.bfParent, n)
@@ -94,7 +98,8 @@ func getHowardWS(g *graph.Graph) *howardWS {
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		ws.outStart[v] = k
 		for _, id := range g.OutArcs(v) {
-			ws.out[k] = howardArc{w: float64(arcs[id].Weight), to: arcs[id].To, id: id}
+			a := arcs[id]
+			ws.out[k] = howardArc{w: float64(a.Weight), t: float64(transit(a, unit)), to: a.To, id: id}
 			k++
 		}
 	}
@@ -152,7 +157,7 @@ type madaniWS struct {
 	d       []int64
 	parent  []graph.ArcID
 	bestCyc []graph.ArcID
-	pc      pcScratch
+	pc      graph.PolicyCycles
 	scan    graph.ParentCycles
 }
 
@@ -176,15 +181,6 @@ func (ws *madaniWS) release() {
 	if ws != nil && !disableWorkspacePools.Load() {
 		madaniPool.Put(ws)
 	}
-}
-
-// pcScratch holds the functional-graph traversal state of policyCycles so
-// Howard's per-iteration walk reuses one set of buffers.
-type pcScratch struct {
-	state   []int32
-	walkPos []int32
-	walk    []graph.NodeID
-	cycle   []graph.ArcID
 }
 
 // extractWS is the scratch state of extractCriticalCycle (Bellman–Ford

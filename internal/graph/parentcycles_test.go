@@ -80,3 +80,46 @@ func TestParentCyclesAllocs(t *testing.T) {
 		t.Errorf("warm scan allocates %.1f objects per run, want 0", allocs)
 	}
 }
+
+// TestPolicyCyclesWalk pins the walk order the policy solvers rely on:
+// roots ascending, each new cycle reported from the node where its walk
+// entered it, then that walk's tail; a walk that runs into an earlier one
+// reports only its tail. Once its buffers have grown, a walker allocates
+// nothing.
+func TestPolicyCyclesWalk(t *testing.T) {
+	b := NewBuilder(7, 7)
+	b.AddNodes(7)
+	b.AddArc(0, 1, 1) // 0
+	b.AddArc(1, 2, 1) // 1
+	b.AddArc(2, 1, 1) // 2
+	b.AddArc(3, 4, 1) // 3
+	b.AddArc(4, 3, 1) // 4
+	b.AddArc(5, 0, 1) // 5
+	b.AddArc(6, 6, 1) // 6
+	g := b.Build()
+	policy := []ArcID{0, 1, 2, 3, 4, 5, 6}
+	var s PolicyCycles
+	var cycles [][]ArcID
+	var tails [][]NodeID
+	s.Walk(g, policy, func(cycle []ArcID) {
+		cycles = append(cycles, append([]ArcID(nil), cycle...))
+	}, func(walk []NodeID) {
+		tails = append(tails, append([]NodeID(nil), walk...))
+	})
+	if want := [][]ArcID{{1, 2}, {3, 4}, {6}}; !reflect.DeepEqual(cycles, want) {
+		t.Errorf("Walk found cycles %v, want %v", cycles, want)
+	}
+	if want := [][]NodeID{{0}, {5}}; !reflect.DeepEqual(tails, want) {
+		t.Errorf("Walk reported tails %v, want %v", tails, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		n := 0
+		s.Walk(g, policy, func([]ArcID) { n++ }, nil)
+		if n != 3 {
+			t.Fatal("walk lost a cycle")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm walk allocates %.1f objects per run, want 0", allocs)
+	}
+}

@@ -69,7 +69,7 @@ type KernelEvent struct {
 // SolverStartEvent reports one solver run starting on one (component) graph.
 type SolverStartEvent struct {
 	// Algorithm is the solver's registered name ("howard", "karp", ...; the
-	// contracted-kernel closed-form solver reports "kernel").
+	// contracted-kernel solve, Howard in ratio form, reports "kernel").
 	Algorithm string
 	// Component is the component index in decomposition order, or -1 when
 	// the solver was invoked directly rather than through a driver.

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/numeric"
 	"repro/internal/prep"
@@ -17,9 +19,10 @@ import (
 	"repro/internal/verify"
 )
 
-// kernelPipeline runs the full Kernelize + SolveKernel pipeline for one
-// strongly connected graph and returns the optimum it proves together with
-// an expanded witness cycle on the original graph.
+// kernelPipeline runs the full pipeline for one strongly connected graph —
+// Kernelize, then the ratio form of core's Howard on whatever is left, as
+// the kernelized drivers solve contracted kernels — and returns the optimum
+// it proves together with an expanded witness cycle on the original graph.
 func kernelPipeline(g *graph.Graph, mode prep.Mode) (numeric.Rat, []graph.ArcID, error) {
 	k := prep.Kernelize(g, mode)
 	if k.Err != nil {
@@ -27,12 +30,12 @@ func kernelPipeline(g *graph.Graph, mode prep.Mode) (numeric.Rat, []graph.ArcID,
 	}
 	best, cyc, have := k.CandidateValue, k.CandidateCycle(), k.HasCandidate
 	if !k.Solved {
-		r, kcyc, err := prep.SolveKernel(k.G, nil)
+		r, err := core.HowardRatio(k.G, core.Options{})
 		if err != nil {
 			return numeric.Rat{}, nil, err
 		}
-		if !have || r.Less(best) {
-			best, cyc, have = r, k.ExpandCycle(kcyc), true
+		if !have || r.Mean.Less(best) {
+			best, cyc, have = r.Mean, k.ExpandCycle(r.Cycle), true
 		}
 	}
 	if !have {
@@ -107,5 +110,84 @@ func TestKernelPipelineDifferential(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestSolveKernelMatchesBruteForce: on random small strongly connected
+// graphs with transits 1..3 (the ratio form contracted Mean kernels carry),
+// the contracted-kernel solve — core's Howard in ratio form — must match
+// exhaustive enumeration exactly and return a cycle attaining it.
+func TestSolveKernelMatchesBruteForce(t *testing.T) {
+	for seed := uint64(0); seed < 30; seed++ {
+		g, err := gen.Sprand(gen.SprandConfig{N: 7, M: 18, MinWeight: -30, MaxWeight: 30, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Assign transits 1..3 deterministically; drop self-loops (a kernel
+		// never has them).
+		var arcs []graph.Arc
+		for i, a := range g.Arcs() {
+			if a.From == a.To {
+				continue
+			}
+			a.Transit = int64(i%3 + 1)
+			arcs = append(arcs, a)
+		}
+		kg := graph.FromArcs(g.NumNodes(), arcs)
+		if !graph.IsStronglyConnected(kg) {
+			continue
+		}
+		want, _, err := verify.BruteForceMinRatio(kg)
+		if err != nil {
+			continue
+		}
+		r, err := core.HowardRatio(kg, core.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !r.Mean.Equal(want) {
+			t.Errorf("seed %d: kernel solve = %v, brute force = %v", seed, r.Mean, want)
+		}
+		if err := kg.ValidateCycle(r.Cycle); err != nil {
+			t.Errorf("seed %d: returned cycle invalid: %v", seed, err)
+		}
+		w, tr := kg.CycleWeight(r.Cycle), kg.CycleTransit(r.Cycle)
+		if !numeric.NewRat(w, tr).Equal(want) {
+			t.Errorf("seed %d: cycle value %d/%d != %v", seed, w, tr, want)
+		}
+	}
+}
+
+// TestKernelizeEndToEndMean: on chain-heavy graphs the full pipeline,
+// min(candidate, kernel solve), must equal the brute-force optimum, every
+// kernel arc must expand to a matching path, and the expanded cycle must
+// achieve the optimum on the original graph.
+func TestKernelizeEndToEndMean(t *testing.T) {
+	for seed := uint64(0); seed < 10; seed++ {
+		g, err := gen.Chain(gen.ChainConfig{CoreN: 5, Chains: 3, ChainLen: 5, MinWeight: -15, MaxWeight: 15, SelfLoops: 1, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := verify.BruteForceMinMean(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep.CheckExpansion(t, g, prep.Kernelize(g, prep.Mean), prep.Mean)
+		best, cyc, err := kernelPipeline(g, prep.Mean)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !best.Equal(want) {
+			t.Errorf("seed %d: kernel pipeline = %v, want %v", seed, best, want)
+			continue
+		}
+		if err := g.ValidateCycle(cyc); err != nil {
+			t.Errorf("seed %d: expanded cycle invalid: %v", seed, err)
+			continue
+		}
+		w := g.CycleWeight(cyc)
+		if !numeric.NewRat(w, int64(len(cyc))).Equal(want) {
+			t.Errorf("seed %d: expanded cycle mean %d/%d != %v", seed, w, len(cyc), want)
+		}
 	}
 }

@@ -31,8 +31,8 @@
 //
 // The mean problem contracts onto ratio machinery: a contracted kernel arc
 // carries t = number of original arcs it replaces, and a kernel cycle's
-// value Σw/Σt equals the original cycle's mean exactly. SolveKernel solves
-// such kernels with a self-contained Howard-style ratio iteration.
+// value Σw/Σt equals the original cycle's mean exactly. The kernelized mean
+// driver solves such kernels with the ratio form of core's Howard.
 package prep
 
 import (
@@ -77,7 +77,8 @@ type Kernel struct {
 	// Contracted reports whether any chain contraction occurred, i.e.
 	// whether some kernel arc replaces more than one original arc. A
 	// contracted Mean-mode kernel must be solved as a ratio instance
-	// (SolveKernel); an uncontracted one can go to any mean solver.
+	// (core's Howard in ratio form); an uncontracted one can go to any mean
+	// solver.
 	Contracted bool
 
 	// Solved reports that the reductions solved the component outright

@@ -293,95 +293,3 @@ func TestRatioModeAccumulatesTransit(t *testing.T) {
 		t.Errorf("candidate = %v, want %v", k.CandidateValue, want)
 	}
 }
-
-func TestSolveKernelMatchesBruteForce(t *testing.T) {
-	// Random small strongly connected graphs with transit 1..3 (ratio form,
-	// as contracted Mean kernels carry); SolveKernel must match exhaustive
-	// enumeration exactly.
-	for seed := uint64(0); seed < 30; seed++ {
-		g, err := gen.Sprand(gen.SprandConfig{N: 7, M: 18, MinWeight: -30, MaxWeight: 30, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Assign transits 1..3 deterministically; drop self-loops (SolveKernel
-		// input is a kernel, which never has them).
-		var arcs []graph.Arc
-		for i, a := range g.Arcs() {
-			if a.From == a.To {
-				continue
-			}
-			a.Transit = int64(i%3 + 1)
-			arcs = append(arcs, a)
-		}
-		kg := graph.FromArcs(g.NumNodes(), arcs)
-		if !graph.IsStronglyConnected(kg) {
-			continue
-		}
-		want, ok := bruteMinRatio(kg, false)
-		if !ok {
-			continue
-		}
-		got, cyc, err := SolveKernel(kg, nil)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !got.Equal(want) {
-			t.Errorf("seed %d: SolveKernel = %v, brute force = %v", seed, got, want)
-		}
-		if err := kg.ValidateCycle(cyc); err != nil {
-			t.Errorf("seed %d: returned cycle invalid: %v", seed, err)
-		}
-		w, tr := kg.CycleWeight(cyc), kg.CycleTransit(cyc)
-		if !numeric.NewRat(w, tr).Equal(want) {
-			t.Errorf("seed %d: cycle value %d/%d != %v", seed, w, tr, want)
-		}
-	}
-}
-
-func TestKernelizeEndToEndMean(t *testing.T) {
-	// Full pipeline on chain-heavy graphs: min(candidate, SolveKernel over
-	// the kernel) must equal the brute-force optimum, and the expanded cycle
-	// must achieve it on the original graph.
-	for seed := uint64(0); seed < 10; seed++ {
-		g, err := gen.Chain(gen.ChainConfig{CoreN: 5, Chains: 3, ChainLen: 5, MinWeight: -15, MaxWeight: 15, SelfLoops: 1, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, ok := bruteMinRatio(g, true)
-		if !ok {
-			t.Fatal("no cycle")
-		}
-		k := Kernelize(g, Mean)
-		if k.Err != nil {
-			t.Fatal(k.Err)
-		}
-		checkExpansion(t, g, k, Mean)
-
-		best := k.CandidateValue
-		bestCyc := k.CandidateCycle()
-		have := k.HasCandidate
-		if !k.Solved {
-			r, cyc, err := SolveKernel(k.G, nil)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if !have || r.Less(best) {
-				best = r
-				bestCyc = k.ExpandCycle(cyc)
-				have = true
-			}
-		}
-		if !have || !best.Equal(want) {
-			t.Errorf("seed %d: kernel pipeline = %v (have=%v), want %v", seed, best, have, want)
-			continue
-		}
-		if err := g.ValidateCycle(bestCyc); err != nil {
-			t.Errorf("seed %d: expanded cycle invalid: %v", seed, err)
-			continue
-		}
-		w := g.CycleWeight(bestCyc)
-		if !numeric.NewRat(w, int64(len(bestCyc))).Equal(want) {
-			t.Errorf("seed %d: expanded cycle mean %d/%d != %v", seed, w, len(bestCyc), want)
-		}
-	}
-}

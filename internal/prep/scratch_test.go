@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/prep"
 	"repro/internal/testutil"
 )
@@ -56,5 +57,50 @@ func BenchmarkKernelizeCircuit(b *testing.B) {
 		for _, c := range comps {
 			s.Kernelize(c.Graph, prep.Mean)
 		}
+	}
+}
+
+// TestKernelizeTracedEmitsKernelEvent: a traced kernelization reports one
+// KernelEvent for its component, with the component's size before and after
+// reduction and a measured duration; with a nil tracer it emits nothing and
+// returns the same kernel.
+func TestKernelizeTracedEmitsKernelEvent(t *testing.T) {
+	g, err := gen.Chain(gen.ChainConfig{CoreN: 5, Chains: 3, ChainLen: 5, MinWeight: -15, MaxWeight: 15, SelfLoops: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []obs.KernelEvent
+	tr := &obs.Trace{OnKernel: func(ev obs.KernelEvent) { events = append(events, ev) }}
+	var s prep.Scratch
+	k := s.KernelizeTraced(g, prep.Mean, tr, 3)
+	if k.Err != nil || k.Solved {
+		t.Fatalf("want a kernel left to the solver, got err=%v solved=%v", k.Err, k.Solved)
+	}
+	if len(events) != 1 {
+		t.Fatalf("%d kernel events, want 1", len(events))
+	}
+	ev := events[0]
+	if ev.Component != 3 {
+		t.Errorf("event component %d, want 3", ev.Component)
+	}
+	if ev.OrigNodes != g.NumNodes() || ev.OrigArcs != g.NumArcs() {
+		t.Errorf("event reports %d nodes, %d arcs before reduction; the component has %d, %d",
+			ev.OrigNodes, ev.OrigArcs, g.NumNodes(), g.NumArcs())
+	}
+	if ev.Nodes != k.G.NumNodes() || ev.Arcs != k.G.NumArcs() {
+		t.Errorf("event reports %d nodes, %d arcs after reduction; the kernel has %d, %d",
+			ev.Nodes, ev.Arcs, k.G.NumNodes(), k.G.NumArcs())
+	}
+	if !ev.Contracted || !ev.HasCandidate || ev.Arcs >= ev.OrigArcs {
+		t.Errorf("chains and a self-loop must shrink the component: %+v", ev)
+	}
+	if ev.Duration <= 0 {
+		t.Errorf("event duration %v, want it measured", ev.Duration)
+	}
+	if want := 1 - float64(ev.Arcs)/float64(ev.OrigArcs); k.ArcReduction() != want {
+		t.Errorf("ArcReduction() = %v, want %v", k.ArcReduction(), want)
+	}
+	if got := s.KernelizeTraced(g, prep.Mean, nil, 3); len(events) != 1 || got.Stats() != k.Stats() {
+		t.Errorf("a nil tracer emitted an event or changed the kernel: %d events, %+v vs %+v", len(events), got.Stats(), k.Stats())
 	}
 }

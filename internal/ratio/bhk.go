@@ -112,11 +112,7 @@ func (bhkAlg) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 			haveBest = true
 		}
 	}
-	policy := make([]graph.ArcID, g.NumNodes())
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		policy[v] = g.OutArcs(v)[0]
-	}
-	ratioPolicyCycles(g, policy, note)
+	oracle.firstArcCycles(note)
 	if !haveBest {
 		return Result{}, ErrAcyclic
 	}

@@ -32,17 +32,16 @@ func (dinkelbachAlg) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 	}
 	var counts counter.Counts
 
+	oracle := newOracle(g, opt, &counts)
+	defer oracle.Close()
+
 	// Start from any cycle: follow the first out-arc from every node.
-	policy := make([]graph.ArcID, g.NumNodes())
-	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-		policy[v] = g.OutArcs(v)[0]
-	}
 	var (
 		best      numeric.Rat
 		bestCycle []graph.ArcID
 		haveBest  bool
 	)
-	ratioPolicyCycles(g, policy, func(cycle []graph.ArcID) {
+	oracle.firstArcCycles(func(cycle []graph.ArcID) {
 		r, ok := cycleRatio(g, cycle)
 		if !ok {
 			return
@@ -56,9 +55,6 @@ func (dinkelbachAlg) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 	if !haveBest {
 		return Result{}, ErrAcyclic
 	}
-
-	oracle := newOracle(g, opt, &counts)
-	defer oracle.Close()
 
 	maxIter := opt.MaxIterations
 	if maxIter <= 0 {

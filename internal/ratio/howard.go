@@ -1,12 +1,11 @@
 package ratio
 
 import (
-	"math"
+	"errors"
+	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/counter"
 	"repro/internal/graph"
-	"repro/internal/numeric"
 )
 
 func init() {
@@ -14,209 +13,28 @@ func init() {
 }
 
 // howardRatio is Howard's policy-iteration algorithm in its original
-// cost-to-time ratio form [Cochet-Terrasson et al. 1997]. The paper's
-// Figure 1 simplifies value determination to the single smallest policy
-// cycle; as in the original multichain formulation, this implementation
-// determines a value per *basin*: every node of the out-degree-one policy
-// graph reaches exactly one cycle, whose exact rational ratio becomes the
-// node's gain, and the node's bias d comes from a reverse BFS toward that
-// cycle. Policy improvement is lexicographic — first strictly better gain
-// (compared exactly, so the gain vector never increases and cannot
-// oscillate), then strictly better bias at equal gain (float64 with an ε
-// threshold, exactly like Figure 1's line 17). On convergence the smallest
-// gain is certified with an exact Bellman–Ford feasibility check; a failed
-// certificate (float round-off in the bias) halves ε and resumes.
+// cost-to-time ratio form [Cochet-Terrasson et al. 1997]. It runs core's one
+// Howard through core.HowardRatio: the iteration the mean solver runs, with
+// each arc's transit in place of 1 — multichain value determination with
+// exact rational gains, lexicographic improvement, and an exact proof of
+// the fixed point (docs/ALGORITHMS.md, "howard"). This adapter validates the
+// input and translates the result and core's error sentinels.
 type howardRatio struct{}
 
 func (howardRatio) Name() string { return "howard" }
-
-// ratioBiasEpsilon derives the default bias-comparison threshold from the
-// magnitudes the bias values actually reach. Each bias term is
-// w(e) − ρ·t(e); with transits ≥ 1 on cycles |ρ| is bounded by the weight
-// scale, so the term magnitude is bounded by scaleW·(1 + maxT) — NOT by the
-// weight range alone. An eps derived only from weights is drowned by float
-// round-off once transits dwarf weights (noise ≈ n·2⁻⁵²·scaleW·maxT exceeds
-// 1e-10·scaleW for large maxT), and policy iteration then churns on noise
-// until the iteration limit. Scaling eps by the transit range keeps it
-// proportional to the values being compared.
-func ratioBiasEpsilon(g *graph.Graph) float64 {
-	minW, maxW := g.WeightRange()
-	scaleW := math.Max(1, math.Max(math.Abs(float64(minW)), math.Abs(float64(maxW))))
-	_, maxT := g.TransitRange()
-	scaleT := math.Max(1, float64(maxT))
-	return 1e-10 * scaleW * scaleT
-}
 
 func (howardRatio) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 	if err := checkInput(g); err != nil {
 		return Result{}, err
 	}
-	n := g.NumNodes()
-	var counts counter.Counts
-
-	eps := opt.Epsilon
-	if eps <= 0 {
-		eps = ratioBiasEpsilon(g)
+	r, err := core.HowardRatio(g, opt)
+	switch {
+	case err == nil:
+		return Result{Ratio: r.Mean, Cycle: r.Cycle, Exact: r.Exact, Counts: r.Counts}, nil
+	case errors.Is(err, core.ErrNumericRange):
+		return Result{}, fmt.Errorf("%w (%v)", ErrNumericRange, err)
+	case errors.Is(err, core.ErrIterationLimit):
+		return Result{}, ErrIterationLimit
 	}
-
-	// Initial policy: cheapest out-arc by weight.
-	policy := make([]graph.ArcID, n)
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		policy[v] = -1
-		best := int64(0)
-		for _, id := range g.OutArcs(v) {
-			if w := g.Arc(id).Weight; policy[v] < 0 || w < best {
-				best = w
-				policy[v] = id
-			}
-		}
-		if policy[v] < 0 {
-			return Result{}, ErrNotStronglyConnected
-		}
-	}
-
-	oracle := newOracle(g, opt, &counts)
-	defer oracle.Close()
-
-	gain := make([]numeric.Rat, n)
-	gainRank := make([]int32, n) // rank of gain[v] among this iteration's distinct gains
-	gainSet := make([]bool, n)
-	cycleGains := make([]numeric.Rat, 0, 8)
-	cycleSeq := make([]int32, n) // v -> index into cycleGains
-	d := make([]float64, n)
-	childHead := make([]int32, n)
-	childNext := make([]int32, n)
-	queue := make([]graph.NodeID, 0, n)
-
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 100*n + 1000
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		if opt.Canceled() {
-			return Result{}, core.ErrCanceled
-		}
-		counts.Iterations++
-
-		// Value determination: per-basin gain and bias.
-		cycleGains = cycleGains[:0]
-		for i := range childHead {
-			childHead[i] = -1
-			gainSet[i] = false
-		}
-		for v := 0; v < n; v++ {
-			u := g.Arc(policy[v]).To
-			childNext[v] = childHead[u]
-			childHead[u] = int32(v)
-		}
-		var (
-			bestGain numeric.Rat
-			bestCyc  []graph.ArcID
-			haveBest bool
-		)
-		ratioPolicyCycles(g, policy, func(cycle []graph.ArcID) {
-			counts.CyclesExamined++
-			r, ok := cycleRatio(g, cycle)
-			if !ok {
-				return // impossible after checkInput (no zero-transit cycles)
-			}
-			if !haveBest || r.Less(bestGain) {
-				bestGain = r
-				bestCyc = append(bestCyc[:0], cycle...)
-				haveBest = true
-			}
-			rf := r.Float64()
-			// Normalization node: the smallest node on the cycle (stable
-			// across policy changes), keeping its previous bias — the
-			// continuity condition that makes the value sequence monotone
-			// and prevents bias oscillation between equal-gain basins.
-			s := g.Arc(cycle[0]).From
-			for _, id := range cycle {
-				if from := g.Arc(id).From; from < s {
-					s = from
-				}
-			}
-			seq := int32(len(cycleGains))
-			cycleGains = append(cycleGains, r)
-			gain[s] = r
-			cycleSeq[s] = seq
-			gainSet[s] = true
-			queue = append(queue[:0], s)
-			for qi := 0; qi < len(queue); qi++ {
-				u := queue[qi]
-				for c := childHead[u]; c >= 0; c = childNext[c] {
-					v := graph.NodeID(c)
-					if gainSet[v] {
-						continue
-					}
-					gainSet[v] = true
-					gain[v] = r
-					cycleSeq[v] = seq
-					a := g.Arc(policy[v])
-					d[v] = d[a.To] + float64(a.Weight) - rf*float64(a.Transit)
-					queue = append(queue, v)
-				}
-			}
-		})
-		if !haveBest {
-			return Result{}, ErrIterationLimit
-		}
-		ranks := numeric.Ranks(cycleGains)
-		for v := 0; v < n; v++ {
-			gainRank[v] = ranks[cycleSeq[v]]
-		}
-
-		// Policy improvement: lexicographic (gain exactly, then bias).
-		improved := false
-		for u := graph.NodeID(0); int(u) < n; u++ {
-			curArc := g.Arc(policy[u])
-			curRank := gainRank[curArc.To]
-			curGain := gain[curArc.To]
-			curVal := d[curArc.To] + float64(curArc.Weight) - curGain.Float64()*float64(curArc.Transit)
-			bestArc := policy[u]
-			bestRank := curRank
-			bestVal := curVal
-			for _, id := range g.OutArcs(u) {
-				counts.Relaxations++
-				a := g.Arc(id)
-				switch rv := gainRank[a.To]; {
-				case rv < bestRank:
-					bestRank = rv
-					bestVal = d[a.To] + float64(a.Weight) - gain[a.To].Float64()*float64(a.Transit)
-					bestArc = id
-				case rv == bestRank:
-					if val := d[a.To] + float64(a.Weight) - gain[a.To].Float64()*float64(a.Transit); val < bestVal {
-						bestVal = val
-						bestArc = id
-					}
-				}
-			}
-			if bestArc == policy[u] {
-				continue
-			}
-			if bestRank < curRank {
-				policy[u] = bestArc
-				improved = true
-			} else if bestVal < curVal {
-				policy[u] = bestArc
-				if curVal-bestVal > eps {
-					improved = true
-				}
-			}
-		}
-
-		if !improved {
-			neg, _, err := oracle.Probe(bestGain.Num(), bestGain.Den())
-			if err != nil {
-				return Result{}, err
-			}
-			if !neg {
-				cycle := make([]graph.ArcID, len(bestCyc))
-				copy(cycle, bestCyc)
-				return Result{Ratio: bestGain, Cycle: cycle, Exact: true, Counts: counts}, nil
-			}
-			eps /= 2
-		}
-	}
-	return Result{}, ErrIterationLimit
+	return Result{}, err // core.ErrCanceled passes through
 }

@@ -1,6 +1,7 @@
 package ratio
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -154,5 +155,22 @@ func TestEpsilonModeRatioLawler(t *testing.T) {
 	}
 	if diff := res.Ratio.Float64() - 20; diff > 0.5 || diff < -0.5 {
 		t.Fatalf("approximate ρ = %v, want ≈ 20", res.Ratio)
+	}
+}
+
+// TestHowardMapsCoreErrors: ratio howard runs core's Howard, and the
+// failures core reports in its own sentinels reach ratio callers as ratio's.
+func TestHowardMapsCoreErrors(t *testing.T) {
+	howard := mustRatioAlgo(t, "howard")
+	if _, err := howard.Solve(stressGraph(t, 5), core.Options{MaxIterations: 1}); !errors.Is(err, ErrIterationLimit) {
+		t.Errorf("one-iteration cap: err = %v, want ErrIterationLimit", err)
+	}
+	// ρ* = 2^62/7: its denominator times max|w| = 2^61 leaves int64.
+	big := graph.FromArcs(2, []graph.Arc{
+		{From: 0, To: 1, Weight: 1 << 61, Transit: 3},
+		{From: 1, To: 0, Weight: 1 << 61, Transit: 4},
+	})
+	if _, err := howard.Solve(big, core.Options{}); !errors.Is(err, ErrNumericRange) {
+		t.Errorf("out-of-range fixed point: err = %v, want ErrNumericRange", err)
 	}
 }

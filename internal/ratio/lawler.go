@@ -134,11 +134,7 @@ func (lawlerRatio) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 	if !haveBest {
 		// Every probe was feasible: ρ* ∈ [lo/S, hi/S). Fall back to a
 		// policy cycle to seed the endgame.
-		policy := make([]graph.ArcID, g.NumNodes())
-		for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
-			policy[v] = g.OutArcs(v)[0]
-		}
-		ratioPolicyCycles(g, policy, func(cycle []graph.ArcID) {
+		oracle.firstArcCycles(func(cycle []graph.ArcID) {
 			c := make([]graph.ArcID, len(cycle))
 			copy(c, cycle)
 			record(c)

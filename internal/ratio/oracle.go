@@ -10,10 +10,10 @@ package ratio
 // enabled, and an exact overflow pre-check that routes out-of-range inputs
 // to ErrNumericRange instead of silently wrapping int64.
 //
-// This is the `ParametricAPI` shape ROADMAP item 2 asks for: Lawler's
-// bisection, Dinkelbach/Fox iteration, Howard's final certificate, Burns'
-// initial potentials, Megiddo's parametric search, and the Stern–Brocot
-// mediant search all sit on the one tuned core below.
+// Lawler's bisection, Dinkelbach/Fox iteration, Burns' initial potentials,
+// Megiddo's parametric search, and the Stern–Brocot mediant search all sit
+// on the one tuned core below. Howard runs in core and proves its fixed
+// point from its own policy potentials.
 
 import (
 	"fmt"
@@ -28,8 +28,9 @@ import (
 )
 
 // probeWS is the reusable scratch space of one oracle: Bellman–Ford state,
-// the parent-cycle scanner, and the tight-arc DFS state, pooled so repeated
-// probes (a Lawler solve runs dozens) allocate nothing after the first.
+// the parent-cycle scanner, the tight-arc DFS state, and the seed policy
+// with its walker, pooled so repeated probes (a Lawler solve runs dozens)
+// allocate nothing after the first.
 type probeWS struct {
 	dist   []int64
 	parent []graph.ArcID
@@ -37,6 +38,8 @@ type probeWS struct {
 	color  []byte
 	onPath []graph.ArcID
 	stack  []dfsFrame
+	policy []graph.ArcID
+	walker graph.PolicyCycles
 }
 
 type dfsFrame struct {
@@ -108,6 +111,22 @@ func (o *oracle) Close() {
 		probePool.Put(o.ws)
 		o.ws = nil
 	}
+}
+
+// firstArcCycles calls fn on every cycle of the policy that takes each
+// node's first out-arc: the seed cycles of lawler, bhk and dinkelbach. The
+// slice fn gets is reused; copy it to keep it.
+func (o *oracle) firstArcCycles(fn func(cycle []graph.ArcID)) {
+	g := o.g
+	n := g.NumNodes()
+	if cap(o.ws.policy) < n {
+		o.ws.policy = make([]graph.ArcID, n)
+	}
+	policy := o.ws.policy[:n]
+	for v := range policy {
+		policy[v] = g.OutArcs(graph.NodeID(v))[0]
+	}
+	o.ws.walker.Walk(g, policy, fn, nil)
 }
 
 // arcBound is the exact-arithmetic pre-check, with the graph-dependent parts

@@ -324,37 +324,3 @@ func extractCriticalRatioCycle(g *graph.Graph, rho numeric.Rat) ([]graph.ArcID, 
 	}
 	return cycle, nil
 }
-
-// ratioPolicyCycles finds the cycles of an out-degree-one policy graph
-// (each node contributes the arc policy[v]); fn receives each cycle's arcs
-// in forward order.
-func ratioPolicyCycles(g *graph.Graph, policy []graph.ArcID, fn func(cycle []graph.ArcID)) {
-	n := len(policy)
-	state := make([]int32, n)
-	walkPos := make([]int32, n)
-	var walk []graph.NodeID
-	for root := 0; root < n; root++ {
-		if state[root] != 0 {
-			continue
-		}
-		walk = walk[:0]
-		v := graph.NodeID(root)
-		for state[v] == 0 {
-			state[v] = 1
-			walkPos[v] = int32(len(walk))
-			walk = append(walk, v)
-			v = g.Arc(policy[v]).To
-		}
-		if state[v] == 1 {
-			start := walkPos[v]
-			cycle := make([]graph.ArcID, 0, int32(len(walk))-start)
-			for i := start; i < int32(len(walk)); i++ {
-				cycle = append(cycle, policy[walk[i]])
-			}
-			fn(cycle)
-		}
-		for _, u := range walk {
-			state[u] = 2
-		}
-	}
-}
