@@ -114,7 +114,7 @@ fuzz-smoke:
 trace-gate:
 	$(GO) test -run 'TestNilTraceZeroAllocs|TestEmptyTraceZeroAllocs' -count=1 ./internal/obs
 	$(GO) test -run 'AllocsPerOpPinned' -count=1 ./internal/core ./internal/ratio
-	$(GO) test -run 'TestTrace' -count=1 ./internal/core
+	$(GO) test -run 'TestTrace' -count=1 ./internal/core ./internal/ratio
 
 # Live-serving smoke: mcmbench -serve must expose non-zero solver counters
 # on /debug/vars and mount /debug/pprof/ while a sweep runs.

@@ -50,6 +50,16 @@ func transit(a graph.Arc, unit bool) int64 {
 	return a.Transit
 }
 
+// maxTransit bounds |t| over g's arcs as a solve reads them: 1 for a mean
+// solve (unit), max|Transit| otherwise.
+func maxTransit(g *graph.Graph, unit bool) int64 {
+	if unit {
+		return 1
+	}
+	lo, hi := g.TransitRange()
+	return max(hi, -lo)
+}
+
 func abs64(x int64) int64 {
 	if x < 0 {
 		return -x
@@ -142,21 +152,22 @@ func hasNegativeCycleScaledInto(g *graph.Graph, p, q int64, unit bool, counts *c
 	return neg != nil, neg
 }
 
-// extractCriticalCycle returns a cycle of g whose mean is exactly lambda,
-// given that lambda equals the minimum cycle mean λ*. It computes shortest
-// distances in the scaled G_λ*, keeps the tight arcs (zero reduced slack —
-// the paper's criticality criterion), and returns any cycle of the tight
-// subgraph; every such cycle telescopes to reduced weight zero, i.e. mean
-// exactly λ*.
-func extractCriticalCycle(g *graph.Graph, lambda numeric.Rat) ([]graph.ArcID, error) {
+// extractCriticalCycle returns a cycle of g whose value is exactly lambda,
+// given that lambda equals the optimum λ* under the transit view unit. It
+// computes shortest distances in the scaled G_λ*, keeps the tight arcs
+// (zero reduced slack — the paper's criticality criterion), and returns any
+// cycle of the tight subgraph; every such cycle telescopes to reduced
+// weight zero, i.e. value exactly λ* when its transit is positive (a ratio
+// graph without zero-transit cycles, as every ratio engine demands).
+func extractCriticalCycle(g *graph.Graph, lambda numeric.Rat, unit bool) ([]graph.ArcID, error) {
 	p, q := lambda.Num(), lambda.Den()
-	if scaledOverflows(g, p, q, 1) {
+	if scaledOverflows(g, p, q, maxTransit(g, unit)) {
 		return nil, ErrWeightRange
 	}
 	n := g.NumNodes()
 	ws := getExtractWS(n)
 	defer ws.release()
-	dist, neg := bellmanFordScaledInto(g, p, q, true, nil, ws.dist, ws.parent)
+	dist, neg := bellmanFordScaledInto(g, p, q, unit, nil, ws.dist, ws.parent)
 	if neg != nil {
 		return nil, fmt.Errorf("core: λ = %v is below the minimum cycle mean", lambda)
 	}
@@ -185,7 +196,7 @@ func extractCriticalCycle(g *graph.Graph, lambda numeric.Rat) ([]graph.ArcID, er
 				id := out[f.arc]
 				f.arc++
 				a := g.Arc(id)
-				if dist[a.From]+q*a.Weight-p != dist[a.To] {
+				if dist[a.From]+q*a.Weight-p*transit(a, unit) != dist[a.To] {
 					continue // not tight
 				}
 				w := a.To
@@ -234,7 +245,7 @@ func extractCriticalCycle(g *graph.Graph, lambda numeric.Rat) ([]graph.ArcID, er
 func finishExact(g *graph.Graph, lambda numeric.Rat, cycle []graph.ArcID, counts counter.Counts) (Result, error) {
 	if len(cycle) == 0 {
 		var err error
-		cycle, err = extractCriticalCycle(g, lambda)
+		cycle, err = extractCriticalCycle(g, lambda, true)
 		if err != nil {
 			return Result{}, err
 		}

@@ -1,16 +1,18 @@
 package core
 
-// Result certification: every float-converged solver answer is snapped to
-// the rational λ* it must equal (cycle means of integer-weighted graphs are
-// rationals with denominator at most n), the reported critical cycle's value
-// is recomputed in exact arithmetic, and optimality is proven by checking —
-// entirely in scaled int64 arithmetic — that the graph reweighted by
-// q·w(e) − p admits no negative cycle (the paper's Equation 1 feasibility
-// certificate for λ = p/q). When the solver handed over node potentials π
-// (Howard's and Madani's fixed points do), that check is one O(m) pass:
-// q·w(u→v) − p + π(v) − π(u) ≥ 0 on every arc, which summed around any
-// cycle bounds its mean below by λ. Without potentials, or when they fail,
-// an O(nm) Bellman–Ford decides instead. A Result that carries a
+// Result certification, for means and ratios alike: every float-converged
+// solver answer is snapped to the rational optimum it must equal (cycle
+// values of integer-weighted graphs are rationals w(C)/t(C) whose
+// denominator is at most n for means and at most the total transit time Σ|t|
+// for ratios), the reported critical cycle's value is recomputed in exact
+// arithmetic, and optimality is proven by checking — entirely in scaled
+// int64 arithmetic — that the graph reweighted by q·w(e) − p·t(e) admits no
+// negative cycle (the paper's Equation 1 feasibility certificate for
+// λ = p/q, with t ≡ 1 for means). When the solver handed over node
+// potentials π (Howard's and Madani's mean fixed points do), that check is
+// one O(m) pass: q·w(u→v) − p·t + π(v) − π(u) ≥ 0 on every arc, which summed
+// around any cycle bounds its value below by λ. Without potentials, or when
+// they fail, an O(nm) Bellman–Ford decides instead. A Result that carries a
 // Certificate is therefore exact unconditionally: its value does not rest
 // on any solver's float epsilon, only on integer facts checked here.
 //
@@ -68,73 +70,72 @@ type Certificate struct {
 	Maximize bool
 }
 
-// certifyMean verifies and, if needed, exactifies a minimization result in
-// place: res.Mean becomes the certified rational λ*, res.Exact is set, and
-// res.Certificate records the proof. Any failure leaves res untouched and
-// returns an error wrapping ErrCertification or ErrNumericRange. The outcome
-// (pass/fail, snap denominator, proof duration) is reported to tr.
-func certifyMean(g *graph.Graph, res *Result, tr *obs.Trace) error {
+// certify verifies and, if needed, exactifies a minimization result in
+// place: res.Mean becomes the certified rational optimum, res.Exact is set,
+// and res.Certificate records the proof. Any failure leaves res untouched
+// and returns an error wrapping f's Certification or NumericRange sentinel.
+// The outcome (pass/fail, snap denominator, proof duration) is reported to
+// tr.
+func certify(g *graph.Graph, res *Result, tr *obs.Trace, f form) error {
 	if !tr.Enabled() {
-		return certifyMeanProof(g, res)
+		return certifyProof(g, res, f)
 	}
 	start := time.Now()
-	err := certifyMeanProof(g, res)
-	tr.Certify(certifyEvent(err, time.Since(start), res.Certificate))
+	err := certifyProof(g, res, f)
+	ev := obs.CertifyEvent{OK: err == nil, Duration: time.Since(start), Err: err}
+	if err == nil {
+		ev.Value = res.Certificate.Value.Float64()
+		ev.MaxDen = res.Certificate.MaxDen
+		ev.Snapped = res.Certificate.Snapped
+	}
+	tr.Certify(ev)
 	return err
 }
 
-// certifyEvent shapes a certification outcome for the tracer.
-func certifyEvent(err error, d time.Duration, cert *Certificate) obs.CertifyEvent {
-	ev := obs.CertifyEvent{OK: err == nil, Duration: d, Err: err}
-	if err == nil && cert != nil {
-		ev.Value = cert.Value.Float64()
-		ev.MaxDen = cert.MaxDen
-		ev.Snapped = cert.Snapped
-	}
-	return ev
-}
-
-// certifyMeanProof is the proof itself, tracer-free.
-func certifyMeanProof(g *graph.Graph, res *Result) error {
-	maxDen := int64(g.NumNodes())
-	if maxDen < 1 {
-		maxDen = 1
-	}
+// certifyProof is the proof itself, tracer-free.
+func certifyProof(g *graph.Graph, res *Result, f form) error {
+	maxDen := denominatorBound(g, f.unit)
 	value := res.Mean
 	snapped := false
 	if !res.Exact {
 		snapped = true
 		if len(res.Cycle) > 0 {
-			// The reported cycle is concrete evidence; its exact mean is the
+			// The reported cycle is concrete evidence; its exact value is the
 			// best recovery candidate.
-			value = numeric.NewRat(g.CycleWeight(res.Cycle), int64(len(res.Cycle)))
+			v, ok := cycleValue(g, res.Cycle, f.unit)
+			if !ok {
+				return fmt.Errorf("%w: reported cycle has non-positive transit", f.Certification)
+			}
+			value = v
 		} else if v, ok := numeric.SnapNearest(res.Mean.Float64(), maxDen); ok {
 			value = v
 		} else {
-			return fmt.Errorf("%w: no rational with denominator <= %d near %v", ErrCertification, maxDen, res.Mean)
+			return fmt.Errorf("%w: no rational with denominator <= %d near %v", f.Certification, maxDen, res.Mean)
 		}
 	}
 	cycle := res.Cycle
 	if len(cycle) == 0 {
-		c, err := extractCriticalCycle(g, value)
+		c, err := extractCriticalCycle(g, value, f.unit)
 		if err != nil {
-			return fmt.Errorf("%w: no witness cycle of mean %v: %v", ErrCertification, value, err)
+			return fmt.Errorf("%w: no witness cycle of %s %v: %v", f.Certification, f.noun(), value, err)
 		}
 		cycle = c
 	}
-	cycVal := numeric.NewRat(g.CycleWeight(cycle), int64(len(cycle)))
-	if !cycVal.Equal(value) {
-		return fmt.Errorf("%w: witness cycle mean %v does not equal claimed λ* = %v", ErrCertification, cycVal, value)
+	if v, ok := cycleValue(g, cycle, f.unit); !ok || !v.Equal(value) {
+		return fmt.Errorf("%w: witness cycle %s %v does not equal claimed %s = %v", f.Certification, f.noun(), v, f.symbol(), value)
 	}
 	p, q := value.Num(), value.Den()
-	perArc, ok := scaledPerArc(g, p, q, 1)
+	perArc, ok := scaledPerArc(g, p, q, maxTransit(g, f.unit))
 	if !ok {
-		return fmt.Errorf("%w: feasibility check at λ = %v would overflow", ErrNumericRange, value)
+		return fmt.Errorf("%w: feasibility check at λ = %v would overflow", f.NumericRange, value)
 	}
 	pi := res.potentials
-	if !potentialsInRange(pi, g.NumNodes(), perArc) || !feasiblePotentials(g, p, q, true, pi, &res.Counts) {
-		if neg, _ := hasNegativeCycleScaled(g, p, q, &res.Counts); neg {
-			return fmt.Errorf("%w: a cycle with mean below %v exists", ErrCertification, value)
+	if !potentialsInRange(pi, g.NumNodes(), perArc) || !feasiblePotentials(g, p, q, f.unit, pi, &res.Counts) {
+		ws := getExtractWS(g.NumNodes())
+		neg, _ := hasNegativeCycleScaledInto(g, p, q, f.unit, &res.Counts, ws.dist, ws.parent)
+		ws.release()
+		if neg {
+			return fmt.Errorf("%w: a cycle with %s below %v exists", f.Certification, f.noun(), value)
 		}
 	}
 	res.Mean = value
@@ -143,6 +144,37 @@ func certifyMeanProof(g *graph.Graph, res *Result) error {
 	res.potentials = nil
 	res.Certificate = &Certificate{Value: value, Witness: cycle, MaxDen: maxDen, Snapped: snapped}
 	return nil
+}
+
+// denominatorBound returns the denominator bound for rational recovery:
+// a simple cycle has at most n arcs (unit) and a total transit time of at
+// most Σ|t(e)|, a sum that saturates at MaxInt64.
+func denominatorBound(g *graph.Graph, unit bool) int64 {
+	if unit {
+		return max(int64(g.NumNodes()), 1)
+	}
+	var sum int64
+	for _, a := range g.Arcs() {
+		t := abs64(a.Transit)
+		if sum > (1<<63-1)-t {
+			return 1<<63 - 1
+		}
+		sum += t
+	}
+	return max(sum, 1)
+}
+
+// cycleValue returns a cycle's exact value w(C)/t(C), with t read through
+// transit, or ok = false when t(C) ≤ 0.
+func cycleValue(g *graph.Graph, cycle []graph.ArcID, unit bool) (numeric.Rat, bool) {
+	t := int64(len(cycle))
+	if !unit {
+		t = g.CycleTransit(cycle)
+	}
+	if t <= 0 {
+		return numeric.Rat{}, false
+	}
+	return numeric.NewRat(g.CycleWeight(cycle), t), true
 }
 
 // potentialsInRange reports whether pi holds one potential per node of an

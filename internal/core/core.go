@@ -1,8 +1,13 @@
-// Package core implements the ten minimum mean cycle algorithms of the
-// DAC'99 study — Burns, KO, YTO, Howard, HO, Karp, DG, Lawler, Karp2, OA1
-// (plus OA2) — behind one uniform interface, together with the
-// strongly-connected-component driver, critical-cycle extraction, and the
-// critical-subgraph computation from the paper's Section 2.
+// Package core implements the minimum mean cycle algorithms behind one
+// uniform interface: the ten of the DAC'99 study — Burns, KO, YTO, Howard,
+// HO, Karp, DG, Lawler, Karp2 and OA1 — plus OA2, the space-efficient DG and
+// HO variants (dg2, ho2), Madani's value iteration and the "approx" tier, 15
+// registered engines in all. Around them it holds the one pipeline both
+// problems share: the strongly-connected-component driver (with
+// kernelization and the parallel pool), the certifier and the portfolio
+// racer, which internal/ratio reaches through SolveRatio and Race. It also
+// provides critical-cycle extraction and the critical-subgraph computation
+// from the paper's Section 2.
 //
 // Every algorithm reports the exact minimum cycle mean λ* as a rational
 // (cycle means of integer-weighted graphs are rationals with denominator at
@@ -23,7 +28,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/counter"
 	"repro/internal/graph"
@@ -31,7 +35,6 @@ import (
 	"repro/internal/numeric"
 	"repro/internal/obs"
 	"repro/internal/pq"
-	"repro/internal/prep"
 )
 
 // Errors returned by the solvers and drivers.
@@ -87,12 +90,16 @@ type Options struct {
 	MaxIterations int
 
 	// Parallelism bounds the number of concurrently solved strongly
-	// connected components in MinimumCycleMean. 0 and 1 select the
-	// sequential driver (the zero value keeps the classic behavior);
-	// negative means runtime.NumCPU(). The parallel driver returns
-	// bit-identical results to the sequential one: components are merged
-	// in decomposition order, so the winning mean, cycle, and operation
-	// counts do not depend on goroutine scheduling.
+	// connected components in the component driver behind MinimumCycleMean,
+	// MaximumCycleMean and internal/ratio's MinimumCycleRatio and
+	// MaximumCycleRatio. 0 and 1 select the sequential loop (the zero value
+	// keeps the classic behavior); negative means runtime.NumCPU(). The pool
+	// returns bit-identical results to the sequential loop: components are
+	// merged in decomposition order, so the winning value, cycle, and
+	// operation counts do not depend on goroutine scheduling. One exception:
+	// with Kernelize the sequential loop skips components whose kernel
+	// bounds cannot beat the incumbent, which the pool cannot know, so
+	// kernelized counts may differ. Session ignores Parallelism.
 	Parallelism int
 
 	// Kernelize runs the internal/prep reduction pipeline on every
@@ -107,8 +114,9 @@ type Options struct {
 	Kernelize bool
 
 	// Certify makes the drivers (MinimumCycleMean, MaximumCycleMean,
-	// Session.Solve) prove every answer before returning it: the value is
-	// snapped to the unique rational with denominator ≤ n (continued-
+	// Session.Solve, and internal/ratio's drivers through SolveRatio) prove
+	// every answer before returning it: the value is snapped to the unique
+	// rational with denominator ≤ n, or ≤ Σ|t| for a ratio (continued-
 	// fraction recovery, a no-op for the exact solvers), the critical
 	// cycle's value is recomputed in exact arithmetic, and optimality is
 	// verified by an exact no-negative-cycle check on the reweighted graph.
@@ -168,18 +176,8 @@ func (o Options) maxIter(def int) int {
 	return def
 }
 
-// WithTraceComponent returns a copy of o tagged with the 0-based index of
-// the component about to be solved, so solver events emitted under the
-// returned Options report it. The core drivers tag internally; this exported
-// form exists for sibling drivers (internal/ratio) that run the SCC
-// decomposition outside this package.
-func (o Options) WithTraceComponent(i int) Options {
-	o.traceComponent = i + 1
-	return o
-}
-
-// TraceComponent returns the component index tagged by WithTraceComponent,
-// or -1 for a direct (driver-less) solve.
+// TraceComponent returns the 0-based index of the component the driver is
+// solving under o, or -1 for a direct (driver-less) solve.
 func (o Options) TraceComponent() int { return o.traceComponent - 1 }
 
 // workers resolves Options.Parallelism to a worker count (>= 1).
@@ -245,7 +243,7 @@ func checkSolveInput(g *graph.Graph) error {
 	if g.NumArcs() == 0 {
 		return ErrAcyclic
 	}
-	if min, max := g.WeightRange(); min < -MaxWeightMagnitude || max > MaxWeightMagnitude {
+	if !weightsInRange(g) {
 		return ErrWeightRange
 	}
 	if !graph.IsStronglyConnected(g) {
@@ -265,6 +263,13 @@ func checkSolveInput(g *graph.Graph) error {
 		}
 	}
 	return nil
+}
+
+// weightsInRange reports whether every weight of g lies within the mean
+// solvers' ±MaxWeightMagnitude.
+func weightsInRange(g *graph.Graph) bool {
+	min, max := g.WeightRange()
+	return min >= -MaxWeightMagnitude && max <= MaxWeightMagnitude
 }
 
 // registry of algorithm constructors by name.
@@ -325,176 +330,15 @@ func All() []Algorithm {
 // bit-identical to the sequential driver's. The Algorithm must then be safe
 // for concurrent Solve calls — every built-in solver is, as all per-run
 // state lives in private workspaces.
-func MinimumCycleMean(g *graph.Graph, algo Algorithm, opt Options) (res Result, err error) {
-	// The driver itself runs exact rational arithmetic (kernel bounds,
-	// incumbent comparisons), so the panic-free boundary sits here too.
-	defer RecoverNumericRange(&err, ErrNumericRange)
-	res, err = minimumCycleMeanAny(g, algo, opt)
-	if err == nil && opt.Certify {
-		if cerr := certifyMean(g, &res, opt.Tracer); cerr != nil {
-			return Result{}, cerr
-		}
-	}
-	return res, err
-}
-
-// sccStart reads the clock for an SCCEvent's Duration, only when tracing is
-// enabled.
-func sccStart(tr *obs.Trace) time.Time {
-	if !tr.Enabled() {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// emitSCC reports a decomposition that began at start to the tracer; a no-op
-// (and alloc-free) when tracing is disabled.
-func emitSCC(tr *obs.Trace, comps []graph.Component, start time.Time) {
-	if !tr.Enabled() {
-		return
-	}
-	ev := obs.SCCEvent{Components: len(comps), Sizes: make([]int, len(comps)), Duration: time.Since(start)}
-	for i, c := range comps {
-		ev.Sizes[i] = c.Graph.NumNodes()
-		ev.Nodes += c.Graph.NumNodes()
-		ev.Arcs += c.Graph.NumArcs()
-	}
-	tr.SCC(ev)
-}
-
-// minimumCycleMeanAny is MinimumCycleMean without the certification and
-// recovery wrapper: SCC decomposition, per-component solve (sequential or
-// parallel), merge.
-func minimumCycleMeanAny(g *graph.Graph, algo Algorithm, opt Options) (Result, error) {
-	start := sccStart(opt.Tracer)
-	comps := graph.CyclicComponents(g)
-	if len(comps) == 0 {
-		return Result{}, ErrAcyclic
-	}
-	emitSCC(opt.Tracer, comps, start)
-	if workers := opt.workers(); workers > 1 && len(comps) > 1 {
-		return minimumCycleMeanParallel(algo, opt, comps, workers)
-	}
-	var (
-		best     Result
-		total    counter.Counts
-		found    bool
-		minLower float64
-		anyBound bool
-		scratch  prep.Scratch // kernelization arrays, reused across components
-	)
-	for ci, comp := range comps {
-		var (
-			r   Result
-			err error
-		)
-		sub := opt
-		sub.traceComponent = ci + 1
-		var kern *prep.Kernel
-		if opt.Kernelize {
-			kern = scratch.KernelizeTraced(comp.Graph, prep.Mean, opt.Tracer, ci)
-			if found && kern.Err == nil && kern.HasBounds && !kern.Lower.Less(best.Mean) {
-				// Cross-SCC pruning: every cycle of this component has mean
-				// at least kern.Lower ≥ the incumbent, so it cannot win —
-				// unless its weights are out of range, in which case the
-				// solver must still run to report ErrWeightRange exactly as
-				// an unkernelized pass would.
-				if min, max := comp.Graph.WeightRange(); min >= -MaxWeightMagnitude && max <= MaxWeightMagnitude {
-					continue
-				}
-			}
-			r, err = solveComponentKernelized(algo, sub, comp.Graph, kern)
-		} else {
-			r, err = algo.Solve(comp.Graph, sub)
-		}
-		if err != nil {
-			return Result{}, fmt.Errorf("core: %s on component of %d nodes: %w", algo.Name(), comp.Graph.NumNodes(), err)
-		}
-		if !keepPotentials(g, comps, kern) {
-			r.potentials = nil
-		}
-		total.Add(r.Counts)
-		// Translate cycle arcs back to g.
-		cycle := make([]graph.ArcID, len(r.Cycle))
-		for i, id := range r.Cycle {
-			cycle[i] = comp.ArcMap[id]
-		}
-		r.Cycle = cycle
-		// The winner is chosen by smallest reported mean (an upper bound for
-		// inexact components), but the global λ* can sit below the winner's
-		// own interval when another component's certified lower bound is
-		// smaller — track the weakest lower bound across all components.
-		lower := r.Mean.Float64() - r.ErrorBound
-		if r.ErrorBound > 0 {
-			anyBound = true
-		}
-		if !found || lower < minLower {
-			minLower = lower
-		}
-		if !found || r.Mean.Less(best.Mean) {
-			best = r
-			found = true
-		}
-	}
-	best.Counts = total
-	mergeErrorBound(&best, minLower, anyBound)
-	return best, nil
-}
-
-// keepPotentials reports whether node potentials from the solve of comps[0]
-// also index g, so certification can check them as they are: one cyclic
-// component spans every node of g (components list their nodes in
-// ascending order, so node IDs coincide) and was solved on itself — kern is
-// nil, or an identity kernel aliasing the component. Otherwise the
-// potentials belong to a smaller or renumbered graph and certification
-// runs Bellman–Ford.
-func keepPotentials(g *graph.Graph, comps []graph.Component, kern *prep.Kernel) bool {
-	if len(comps) != 1 || comps[0].Graph.NumNodes() != g.NumNodes() {
-		return false
-	}
-	return kern == nil || kern.G == comps[0].Graph
-}
-
-// mergeErrorBound widens the winning component's certified interval to
-// cover every component's lower bound: λ* = min over components can lie
-// anywhere in [minLower, best.Mean]. No-op unless some component declared a
-// bound (legacy epsilon-mode results declare none and keep their historical
-// semantics).
-func mergeErrorBound(best *Result, minLower float64, anyBound bool) {
-	if !anyBound {
-		return
-	}
-	eb := best.Mean.Float64() - minLower
-	if eb < best.ErrorBound {
-		// Float cancellation (Mean − (Mean − bound)) can round a tiny bound
-		// away; the winner's own certified bound is always a valid floor.
-		eb = best.ErrorBound
-	}
-	if eb < 0 {
-		eb = 0
-	}
-	best.ErrorBound = eb
-	if eb > 0 {
-		best.Exact = false
-	}
+func MinimumCycleMean(g *graph.Graph, algo Algorithm, opt Options) (Result, error) {
+	return solve(g, algo, opt, meanForm, false)
 }
 
 // MaximumCycleMean computes the maximum cycle mean by negation
 // (max_C w(C)/|C| = −min_C (−w)(C)/|C|), the standard reduction the paper
 // relies on for the maximum problem variants.
 func MaximumCycleMean(g *graph.Graph, algo Algorithm, opt Options) (Result, error) {
-	r, err := MinimumCycleMean(g.NegateWeights(), algo, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Mean = r.Mean.Neg()
-	if r.Certificate != nil {
-		// The proof ran on the negated instance; report it in the caller's
-		// orientation (arc IDs are shared between g and its negation).
-		r.Certificate.Value = r.Certificate.Value.Neg()
-		r.Certificate.Maximize = true
-	}
-	return r, nil
+	return solve(g, algo, opt, meanForm, true)
 }
 
 // CriticalSubgraph computes the critical subgraph of G_λ* as defined in the

@@ -619,7 +619,7 @@ func (d *DynSession) solveLocked(opt Options) (res Result, err error) {
 		for i, id := range cycle {
 			cycle[i] = d.origTo[id]
 		}
-		if cerr := certifyMean(d.snap, &best, tr); cerr != nil {
+		if cerr := certify(d.snap, &best, tr, meanForm); cerr != nil {
 			return Result{}, cerr
 		}
 		for i, id := range best.Cycle {

@@ -114,18 +114,14 @@ func howardEpsilon(g *graph.Graph, maxT int64) float64 {
 // allocated slice (the internal one is pooled), for callers that cache
 // policies across solves.
 func howardRun(g *graph.Graph, opt Options, unit bool, warm []graph.ArcID, wantPolicy bool) (Result, []graph.ArcID, error) {
-	maxT := int64(1)
 	if unit {
 		if err := checkSolveInput(g); err != nil {
 			return Result{}, nil, err
 		}
-	} else {
-		if g.NumNodes() == 0 || g.NumArcs() == 0 {
-			return Result{}, nil, ErrAcyclic
-		}
-		minT, hi := g.TransitRange()
-		maxT = max(hi, -minT)
+	} else if g.NumNodes() == 0 || g.NumArcs() == 0 {
+		return Result{}, nil, ErrAcyclic
 	}
+	maxT := maxTransit(g, unit)
 	n := g.NumNodes()
 	var counts counter.Counts
 

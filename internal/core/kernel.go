@@ -1,22 +1,31 @@
 package core
 
 // This file connects the internal/prep kernelization pipeline to the
-// MinimumCycleMean driver. Each strongly connected component is reduced
-// before any solver runs:
+// component driver. Each strongly connected component is reduced before any
+// solver runs:
 //
 //   - A fully solved kernel (everything collapsed into closed-form
 //     candidates) skips the solver entirely.
-//   - An uncontracted kernel (self-loops stripped, nothing spliced) goes to
-//     the caller's algorithm unchanged — kernel arc IDs map 1:1 onto paths
-//     of length one — with sharpened λ* bounds for Lawler's binary search.
-//   - A contracted kernel is a cost-to-time ratio instance (t = original
-//     arc count), solved exactly by the ratio form of the one Howard
-//     (howardRun with transits read from the arcs); any solver failure
-//     (e.g. exact-arithmetic range) falls back to an unkernelized solve of
-//     the original component, so kernelization never changes feasibility.
+//   - A mean kernel that was not contracted (self-loops stripped, nothing
+//     spliced), and every ratio kernel, goes to the caller's algorithm with
+//     sharpened bounds for Lawler-style searches: kernel arc IDs map 1:1
+//     onto paths of length one, and a contracted ratio kernel is still a
+//     plain ratio instance, its transits summed along each chain.
+//   - A contracted mean kernel is a cost-to-time ratio instance (t =
+//     original arc count) that the mean solvers cannot express, so the
+//     ratio form of the one Howard solves it (howardRun with transits read
+//     from the arcs).
+//
+// The two forms keep their own rule for a failed kernel solve. A mean
+// solve falls back to the unkernelized component when the contracted
+// kernel fails (e.g. exact-arithmetic range), and reports an uncontracted
+// kernel's failure as the component's own. A ratio solve falls back on any
+// failure: accumulated kernel weights can exceed a solver's range even when
+// the original weights do not, and the raw solve reproduces the exact
+// diagnostics an unkernelized run would report.
 //
 // In every case the critical cycle is expanded back to original arc IDs
-// before the driver sees it, so callers observe the same mean and a valid
+// before the driver sees it, so callers observe the same value and a valid
 // critical cycle whether or not kernelization ran.
 
 import (
@@ -27,15 +36,15 @@ import (
 	"repro/internal/prep"
 )
 
-// solveComponentKernelized solves one strongly connected cyclic component g
-// through its precomputed kernel. The returned cycle uses g's arc IDs.
-func solveComponentKernelized(algo Algorithm, opt Options, g *graph.Graph, kern *prep.Kernel) (Result, error) {
+// solveKernel solves one strongly connected cyclic component g through its
+// precomputed kernel. The returned cycle uses g's arc IDs.
+func solveKernel(algo Algorithm, opt Options, f form, g *graph.Graph, kern *prep.Kernel) (Result, error) {
 	if kern.Err != nil || (kern.Solved && !kern.HasCandidate) {
 		// Unsupported input or a degenerate kernel: solve the original
 		// component so the proper solver diagnostics apply.
 		return algo.Solve(g, opt)
 	}
-	if min, max := g.WeightRange(); min < -MaxWeightMagnitude || max > MaxWeightMagnitude {
+	if f.unit && !weightsInRange(g) {
 		// Closed-form candidates and Howard's ratio form tolerate weights the
 		// mean solvers reject, but kernelization must not widen the input
 		// contract: defer to the raw solve's ErrWeightRange.
@@ -53,30 +62,8 @@ func solveComponentKernelized(algo Algorithm, opt Options, g *graph.Graph, kern 
 			r   Result
 			err error
 		)
-		if kern.Contracted {
-			// The kernel's cycle values are Σw/Σt with t = original arc
-			// count — a ratio instance the mean solvers cannot express, so
-			// Howard solves it in ratio form whatever algo is, with its
-			// default threshold and iteration cap, and reports as algorithm
-			// "kernel". Only the caller's cancellation carries over.
-			tr := opt.Tracer
-			var start time.Time
-			if tr.Enabled() {
-				tr.SolverStart(obs.SolverStartEvent{Algorithm: "kernel",
-					Component: opt.traceComponent - 1, Nodes: kern.G.NumNodes(), Arcs: kern.G.NumArcs()})
-				start = time.Now()
-			}
-			var serr error
-			r, _, serr = howardRun(kern.G, Options{cancel: opt.cancel}, false, nil, false)
-			if tr.Enabled() {
-				tr.SolverDone(obs.SolverDoneEvent{Algorithm: "kernel",
-					Component: opt.traceComponent - 1, Nodes: kern.G.NumNodes(), Arcs: kern.G.NumArcs(),
-					Duration: time.Since(start), Counts: r.Counts, Value: r.Mean.Float64(), Err: serr})
-			}
-			if serr != nil {
-				return algo.Solve(g, opt)
-			}
-			r.Cycle = kern.ExpandCycle(r.Cycle)
+		if f.unit && kern.Contracted {
+			r, err = solveContracted(kern, opt)
 		} else {
 			sub := opt
 			if kern.HasBounds {
@@ -84,11 +71,14 @@ func solveComponentKernelized(algo Algorithm, opt Options, g *graph.Graph, kern 
 				sub.LambdaLower, sub.LambdaUpper = &lo, &hi
 			}
 			r, err = algo.Solve(kern.G, sub)
-			if err != nil {
+			if err != nil && f.unit {
 				return Result{}, err
 			}
-			r.Cycle = kern.ExpandCycle(r.Cycle)
 		}
+		if err != nil {
+			return algo.Solve(g, opt)
+		}
+		r.Cycle = kern.ExpandCycle(r.Cycle)
 		cts := r.Counts
 		if !have || r.Mean.Less(best.Mean) {
 			best = r
@@ -96,4 +86,23 @@ func solveComponentKernelized(algo Algorithm, opt Options, g *graph.Graph, kern 
 		best.Counts = cts
 	}
 	return best, nil
+}
+
+// solveContracted solves a contracted mean kernel with Howard in ratio form,
+// with its default threshold and iteration cap, reporting as algorithm
+// "kernel". Only the caller's cancellation carries over.
+func solveContracted(kern *prep.Kernel, opt Options) (Result, error) {
+	tr := opt.Tracer
+	comp, n, m := opt.traceComponent-1, kern.G.NumNodes(), kern.G.NumArcs()
+	var start time.Time
+	if tr.Enabled() {
+		tr.SolverStart(obs.SolverStartEvent{Algorithm: "kernel", Component: comp, Nodes: n, Arcs: m})
+		start = time.Now()
+	}
+	r, _, err := howardRun(kern.G, Options{cancel: opt.cancel}, false, nil, false)
+	if tr.Enabled() {
+		tr.SolverDone(obs.SolverDoneEvent{Algorithm: "kernel", Component: comp, Nodes: n, Arcs: m,
+			Duration: time.Since(start), Counts: r.Counts, Value: r.Mean.Float64(), Err: err})
+	}
+	return r, err
 }

@@ -23,10 +23,16 @@ const portfolioName = "portfolio"
 // members have disjoint worst cases, which is the point of racing them.
 var defaultPortfolioRoster = []string{"howard", "karp", "yto", "madani"}
 
-// portfolioLive counts currently-running portfolio solver goroutines; it is
-// a test hook proving that races never leak goroutines (Solve joins every
-// racer before returning, so the counter always returns to zero).
+// portfolioLive counts currently-running racer goroutines; it is a test
+// hook proving that races never leak goroutines (Race joins every racer
+// before returning, so the counter always returns to zero).
 var portfolioLive atomic.Int64
+
+// LiveRacers returns the number of racer goroutines Race is running right
+// now, for every caller of Race. It is zero whenever no race is in flight;
+// the portfolio stress tests of this package and internal/ratio read it as
+// their goroutine-leak ledger.
+func LiveRacers() int64 { return portfolioLive.Load() }
 
 // Portfolio is a meta-algorithm that runs several exact solvers
 // concurrently on the same strongly connected graph and returns the first
@@ -102,6 +108,18 @@ func (p *Portfolio) SolveContext(ctx context.Context, g *graph.Graph, opt Option
 	if err := checkSolveInput(g); err != nil {
 		return Result{}, err
 	}
+	return Race(ctx, g, p.algos, opt, meanForm.Sentinels)
+}
+
+// Race is the one portfolio race loop, behind Portfolio and internal/ratio's
+// portfolio: it runs every algorithm of algos concurrently on the validated
+// graph g and returns the first exact result, canceling the rest through
+// flags chained to opt's own cancellation and bridged from ctx. When no
+// racer is exact, the first inexact result is returned; when all fail,
+// their errors are joined, each wrapped with the member's name under
+// s.Prefix. A racer's numeric overflow panic becomes s.NumericRange. Every
+// racer goroutine is joined before Race returns.
+func Race(ctx context.Context, g *graph.Graph, algos []Algorithm, opt Options, s Sentinels) (Result, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -110,10 +128,10 @@ func (p *Portfolio) SolveContext(ctx context.Context, g *graph.Graph, opt Option
 		res Result
 		err error
 	}
-	results := make(chan outcome, len(p.algos))
-	flags := make([]*cancelFlag, len(p.algos))
+	results := make(chan outcome, len(algos))
+	flags := make([]*cancelFlag, len(algos))
 	var wg sync.WaitGroup
-	for i, a := range p.algos {
+	for i, a := range algos {
 		// Each racer gets its own flag chained to the caller's, so both a
 		// lost race and an outer cancellation stop it.
 		sub := opt
@@ -132,7 +150,7 @@ func (p *Portfolio) SolveContext(ctx context.Context, g *graph.Graph, opt Option
 			// members are individually guarded, but a caller-supplied
 			// Algorithm is not, and a panic here would kill the process.
 			func() {
-				defer RecoverNumericRange(&err, ErrNumericRange)
+				defer RecoverNumericRange(&err, s.NumericRange)
 				res, err = a.Solve(g, sub)
 			}()
 			results <- outcome{idx: i, res: res, err: err}
@@ -160,16 +178,16 @@ func (p *Portfolio) SolveContext(ctx context.Context, g *graph.Graph, opt Option
 	)
 	if tracing {
 		raceStart = time.Now()
-		finish = make([]time.Duration, len(p.algos))
-		latency = make([]time.Duration, len(p.algos))
+		finish = make([]time.Duration, len(algos))
+		latency = make([]time.Duration, len(algos))
 	}
 
 	var (
 		winner  *outcome
 		inexact *outcome
-		errs    = make([]error, len(p.algos))
+		errs    = make([]error, len(algos))
 	)
-	for remaining := len(p.algos); remaining > 0; remaining-- {
+	for remaining := len(algos); remaining > 0; remaining-- {
 		o := <-results
 		if tracing {
 			now := time.Now()
@@ -201,8 +219,8 @@ func (p *Portfolio) SolveContext(ctx context.Context, g *graph.Graph, opt Option
 		if returned == nil {
 			returned = inexact
 		}
-		ev := obs.RaceEvent{Duration: time.Since(raceStart), Racers: make([]obs.RacerOutcome, len(p.algos))}
-		for i, a := range p.algos {
+		ev := obs.RaceEvent{Duration: time.Since(raceStart), Racers: make([]obs.RacerOutcome, len(algos))}
+		for i, a := range algos {
 			ev.Racers[i] = obs.RacerOutcome{
 				Algorithm:     a.Name(),
 				Elapsed:       finish[i],
@@ -212,7 +230,7 @@ func (p *Portfolio) SolveContext(ctx context.Context, g *graph.Graph, opt Option
 			}
 		}
 		if returned != nil {
-			ev.Winner = p.algos[returned.idx].Name()
+			ev.Winner = algos[returned.idx].Name()
 		}
 		opt.Tracer.Race(ev)
 	}
@@ -235,7 +253,7 @@ func (p *Portfolio) SolveContext(ctx context.Context, g *graph.Graph, opt Option
 	var fails []error
 	for i, err := range errs {
 		if err != nil && !errors.Is(err, ErrCanceled) {
-			fails = append(fails, fmt.Errorf("core: portfolio member %s: %w", p.algos[i].Name(), err))
+			fails = append(fails, fmt.Errorf("%s: portfolio member %s: %w", s.Prefix, algos[i].Name(), err))
 		}
 	}
 	if len(fails) > 0 {

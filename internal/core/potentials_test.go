@@ -92,7 +92,7 @@ func TestCertifierChecksPotentialsInOnePass(t *testing.T) {
 		g := sprandSCC(t, seed)
 		res := certifiedHoward(t, g)
 		before := res.Counts
-		if err := certifyMeanProof(g, &res); err != nil {
+		if err := certifyProof(g, &res, meanForm); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if got := res.Counts.NegativeCycleChecks - before.NegativeCycleChecks; got != 1 {
@@ -119,7 +119,7 @@ func TestCertifierFallsBackOnCorruptPotentials(t *testing.T) {
 			v := int(seed*7+3) % g.NumNodes()
 			res.potentials[v] += delta
 			before := res.Counts
-			if err := certifyMeanProof(g, &res); err != nil {
+			if err := certifyProof(g, &res, meanForm); err != nil {
 				t.Fatalf("seed %d delta %d: %v", seed, delta, err)
 			}
 			if !res.Mean.Equal(want) || res.Certificate == nil {
@@ -152,7 +152,7 @@ func TestCertifierRejectsPotentialsForAWrongValue(t *testing.T) {
 		t.Fatal("the policy's only cycle has mean 5, so its potentials at λ = 5 must close")
 	}
 	res := Result{Mean: numeric.NewRat(5, 1), Cycle: []graph.ArcID{2}, Exact: true, potentials: pi}
-	if err := certifyMeanProof(g, &res); !errors.Is(err, ErrCertification) {
+	if err := certifyProof(g, &res, meanForm); !errors.Is(err, ErrCertification) {
 		t.Fatalf("certified a value above λ* = 1: err = %v", err)
 	}
 }
@@ -181,7 +181,7 @@ func TestCertifierRangeChecksPotentials(t *testing.T) {
 			t.Errorf("%v: potentials near ±2^63 passed the range check", forged)
 		}
 		res := Result{Mean: numeric.NewRat(5, 1), Cycle: []graph.ArcID{2}, Exact: true, potentials: pi}
-		if err := certifyMeanProof(g, &res); !errors.Is(err, ErrCertification) {
+		if err := certifyProof(g, &res, meanForm); !errors.Is(err, ErrCertification) {
 			t.Errorf("%v: certified a value above λ* = 1: err = %v", forged, err)
 		}
 	}
@@ -240,7 +240,7 @@ func TestHowardFallsBackToBellmanFord(t *testing.T) {
 			fellBack = true
 		}
 		before := res.Counts
-		if err := certifyMeanProof(g, &res); err != nil {
+		if err := certifyProof(g, &res, meanForm); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if got := res.Counts.NegativeCycleChecks - before.NegativeCycleChecks; got != 1 {
@@ -270,7 +270,7 @@ func TestMadaniHandsOverPotentials(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := res.Counts
-		if err := certifyMeanProof(g, &res); err != nil {
+		if err := certifyProof(g, &res, meanForm); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if got := res.Counts.NegativeCycleChecks - before.NegativeCycleChecks; got != 1 {

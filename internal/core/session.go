@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/counter"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -63,11 +62,13 @@ type SessionStats struct {
 //
 // Session always solves with Howard's algorithm: it is the study's fastest
 // solver and the only one whose iteration state (the policy) is meaningful
-// across solves. Options.Parallelism and Options.Kernelize are ignored —
-// components are solved sequentially on the raw graph, since a kernel solved
-// by closed forms leaves no policy to cache. Options.Certify is honored:
-// every warm-started answer then carries the same exact optimality
-// certificate a cold MinimumCycleMean solve would produce.
+// across solves. It runs MinimumCycleMean's component driver with its
+// warm-started Howard as the per-component solve. Options.Parallelism and
+// Options.Kernelize are ignored — components are solved sequentially on the
+// raw graph, since a kernel solved by closed forms leaves no policy to
+// cache. Options.Certify is honored: every warm-started answer then carries
+// the same exact optimality certificate a cold MinimumCycleMean solve would
+// produce, and errors read as MinimumCycleMean(g, howard, opt)'s do.
 type Session struct {
 	opt Options
 
@@ -100,12 +101,13 @@ func (s *Session) SolveContext(ctx context.Context, g *graph.Graph) (Result, err
 	return s.solve(g, opt)
 }
 
-// solve is the shared implementation behind Solve and SolveContext.
+// solve is the shared implementation behind Solve and SolveContext: the
+// component driver with one worker, no kernel, and the session's
+// warm-started Howard as its per-component solve.
 func (s *Session) solve(g *graph.Graph, opt Options) (res Result, err error) {
 	// Every call counts, successful or not (SessionStats.Solves documents
-	// exactly that); failures are tallied separately. The error-counting
-	// defer is installed before the recovery boundary so it observes the
-	// error a recovered numeric panic was converted into.
+	// exactly that); failures are tallied separately, including the error a
+	// recovered numeric panic was converted into.
 	s.mu.Lock()
 	s.stats.Solves++
 	s.mu.Unlock()
@@ -116,90 +118,68 @@ func (s *Session) solve(g *graph.Graph, opt Options) (res Result, err error) {
 			s.mu.Unlock()
 		}
 	}()
-	defer RecoverNumericRange(&err, ErrNumericRange)
-	tr := opt.Tracer
-	sccStarted := sccStart(tr)
-	comps := graph.CyclicComponents(g)
-	if len(comps) == 0 {
-		return Result{}, ErrAcyclic
+	opt.Parallelism, opt.Kernelize = 0, false
+	return solve(g, sessionHoward{s}, opt, meanForm, false)
+}
+
+// sessionHoward is a Session's per-component solve: Howard warm-started from
+// the policy cached under the component's structural fingerprint, whose
+// converged policy then replaces the cached one.
+type sessionHoward struct{ s *Session }
+
+func (sessionHoward) Name() string { return "howard" }
+
+func (h sessionHoward) Solve(g *graph.Graph, opt Options) (Result, error) {
+	s, tr, ci := h.s, opt.Tracer, opt.TraceComponent()
+	fp := structuralFingerprint(g)
+	s.mu.Lock()
+	warm := s.cache[fp]
+	entries := len(s.cache)
+	s.mu.Unlock()
+
+	if warm != nil {
+		tr.Cache(obs.CacheEvent{Op: obs.CacheHit, Entries: entries})
+	} else {
+		tr.Cache(obs.CacheEvent{Op: obs.CacheMiss, Entries: entries})
 	}
-	emitSCC(tr, comps, sccStarted)
-	var (
-		best  Result
-		total counter.Counts
-		found bool
-	)
-	for ci, comp := range comps {
-		fp := structuralFingerprint(comp.Graph)
-		s.mu.Lock()
-		warm := s.cache[fp]
-		entries := len(s.cache)
-		s.mu.Unlock()
+	var start time.Time
+	if tr.Enabled() {
+		tr.SolverStart(obs.SolverStartEvent{Algorithm: "howard", Component: ci,
+			Nodes: g.NumNodes(), Arcs: g.NumArcs(), WarmStart: warm != nil})
+		start = time.Now()
+	}
+	r, policy, err := howardRun(g, opt, true, warm, true)
+	if tr.Enabled() {
+		tr.SolverDone(obs.SolverDoneEvent{Algorithm: "howard", Component: ci,
+			Nodes: g.NumNodes(), Arcs: g.NumArcs(),
+			Duration: time.Since(start), Counts: r.Counts, Value: r.Mean.Float64(), Err: err})
+	}
+	if err != nil {
+		return Result{}, err
+	}
 
-		if warm != nil {
-			tr.Cache(obs.CacheEvent{Op: obs.CacheHit, Entries: entries})
-		} else {
-			tr.Cache(obs.CacheEvent{Op: obs.CacheMiss, Entries: entries})
-		}
-		var start time.Time
-		if tr.Enabled() {
-			tr.SolverStart(obs.SolverStartEvent{Algorithm: "howard", Component: ci,
-				Nodes: comp.Graph.NumNodes(), Arcs: comp.Graph.NumArcs(), WarmStart: warm != nil})
-			start = time.Now()
-		}
-		r, policy, err := howardRun(comp.Graph, opt, true, warm, true)
-		if tr.Enabled() {
-			tr.SolverDone(obs.SolverDoneEvent{Algorithm: "howard", Component: ci,
-				Nodes: comp.Graph.NumNodes(), Arcs: comp.Graph.NumArcs(),
-				Duration: time.Since(start), Counts: r.Counts, Value: r.Mean.Float64(), Err: err})
-		}
-		if err != nil {
-			return Result{}, err
-		}
-		if !keepPotentials(g, comps, nil) {
-			r.potentials = nil
-		}
-
-		s.mu.Lock()
-		if warm != nil {
-			s.stats.WarmHits++
-		} else {
-			s.stats.WarmMisses++
-		}
-		s.stats.Components++
-		evicted := false
-		if len(s.cache) >= sessionMaxEntries {
-			if _, present := s.cache[fp]; !present {
-				s.cache = make(map[uint64][]graph.ArcID)
-				s.stats.Evictions++
-				evicted = true
-			}
-		}
-		s.cache[fp] = policy
-		entries = len(s.cache)
-		s.mu.Unlock()
-		if evicted {
-			tr.Cache(obs.CacheEvent{Op: obs.CacheEvict, Entries: entries})
-		}
-
-		total.Add(r.Counts)
-		cycle := make([]graph.ArcID, len(r.Cycle))
-		for i, id := range r.Cycle {
-			cycle[i] = comp.ArcMap[id]
-		}
-		r.Cycle = cycle
-		if !found || r.Mean.Less(best.Mean) {
-			best = r
-			found = true
+	s.mu.Lock()
+	if warm != nil {
+		s.stats.WarmHits++
+	} else {
+		s.stats.WarmMisses++
+	}
+	s.stats.Components++
+	evicted := false
+	if len(s.cache) >= sessionMaxEntries {
+		if _, present := s.cache[fp]; !present {
+			s.cache = make(map[uint64][]graph.ArcID)
+			s.stats.Evictions++
+			evicted = true
 		}
 	}
-	best.Counts = total
-	if opt.Certify {
-		if cerr := certifyMean(g, &best, tr); cerr != nil {
-			return Result{}, cerr
-		}
+	s.cache[fp] = policy
+	entries = len(s.cache)
+	s.mu.Unlock()
+	if evicted {
+		tr.Cache(obs.CacheEvent{Op: obs.CacheEvict, Entries: entries})
 	}
-	return best, nil
+	return r, nil
 }
 
 // Stats returns a snapshot of the session's cache counters.

@@ -30,7 +30,7 @@ func (howardRatio) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 	r, err := core.HowardRatio(g, opt)
 	switch {
 	case err == nil:
-		return Result{Ratio: r.Mean, Cycle: r.Cycle, Exact: r.Exact, Counts: r.Counts}, nil
+		return fromCore(r), nil
 	case errors.Is(err, core.ErrNumericRange):
 		return Result{}, fmt.Errorf("%w (%v)", ErrNumericRange, err)
 	case errors.Is(err, core.ErrIterationLimit):

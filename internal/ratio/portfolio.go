@@ -1,26 +1,18 @@
 package ratio
 
-// The ratio-side portfolio racer, mirroring core's meta-algorithm: run
-// several exact ratio solvers concurrently and return the first exact
-// answer, canceling the losers through the public cancellation bridge
-// (core's private flag chaining is not reachable from here, and the
-// context-based bridge composes identically). Spelled "portfolio" or
-// "portfolio:a+b" through ByName, like core's — and like core's it stays out
-// of Names(), so corpus sweeps and bench tables that iterate the registry
-// race real solvers, not the racer itself.
+// The ratio-side portfolio: a roster of exact ratio solvers raced by core's
+// one race loop (core.Race), with this package's input check and error
+// names. Spelled "portfolio" or "portfolio:a+b" through ByName, like core's
+// — and like core's it stays out of Names(), so corpus sweeps and bench
+// tables that iterate the registry race real solvers, not the racer itself.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // ratioPortfolioName is the ByName spelling of the meta-algorithm.
@@ -33,14 +25,12 @@ const ratioPortfolioName = "portfolio"
 // denominator-bound bisection). The four have disjoint worst cases.
 var defaultRatioRoster = []string{"howard", "sternbrocot", "dinkelbach", "bhk"}
 
-// ratioPortfolioLive mirrors core's goroutine-leak test hook.
-var ratioPortfolioLive atomic.Int64
-
 // RatioPortfolio races several ratio solvers on the same strongly connected
 // graph; every exact solver returns the same ρ*, so racing changes only the
 // wall clock paid, never the answer.
 type RatioPortfolio struct {
-	algos []Algorithm
+	algos  []Algorithm
+	racers []core.Algorithm // algos, as core.Race runs them
 }
 
 // NewPortfolio builds a ratio portfolio over the given solvers; with no
@@ -55,7 +45,11 @@ func NewPortfolio(algos ...Algorithm) *RatioPortfolio {
 			algos = append(algos, algo)
 		}
 	}
-	return &RatioPortfolio{algos: algos}
+	racers := make([]core.Algorithm, len(algos))
+	for i, a := range algos {
+		racers[i] = engine{a}
+	}
+	return &RatioPortfolio{algos: algos, racers: racers}
 }
 
 // portfolioByName parses "portfolio" or "portfolio:a+b+c" (members separated
@@ -98,123 +92,6 @@ func (p *RatioPortfolio) SolveContext(ctx context.Context, g *graph.Graph, opt c
 	if err := checkInput(g); err != nil {
 		return Result{}, err
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		idx int
-		res Result
-		err error
-	}
-	results := make(chan outcome, len(p.algos))
-	var wg sync.WaitGroup
-	for i, a := range p.algos {
-		// Each racer observes both a lost race and the caller's own
-		// cancellation through the context bridge.
-		sub, stop := opt.WithCancelContext(ctx)
-		wg.Add(1)
-		ratioPortfolioLive.Add(1)
-		go func(i int, a Algorithm, sub core.Options, stop func()) {
-			defer wg.Done()
-			defer ratioPortfolioLive.Add(-1)
-			defer stop()
-			var (
-				res Result
-				err error
-			)
-			// Registry members are individually guarded, but a
-			// caller-supplied Algorithm is not; keep the race panic-free.
-			func() {
-				defer core.RecoverNumericRange(&err, ErrNumericRange)
-				res, err = a.Solve(g, sub)
-			}()
-			results <- outcome{idx: i, res: res, err: err}
-		}(i, a, sub, stop)
-	}
-
-	tracing := opt.Tracer.Enabled()
-	var (
-		raceStart time.Time
-		decidedAt time.Time
-		finish    []time.Duration
-		latency   []time.Duration
-	)
-	if tracing {
-		raceStart = time.Now()
-		finish = make([]time.Duration, len(p.algos))
-		latency = make([]time.Duration, len(p.algos))
-	}
-
-	var (
-		winner  *outcome
-		inexact *outcome
-		errs    = make([]error, len(p.algos))
-	)
-	for remaining := len(p.algos); remaining > 0; remaining-- {
-		o := <-results
-		if tracing {
-			now := time.Now()
-			finish[o.idx] = now.Sub(raceStart)
-			if !decidedAt.IsZero() {
-				latency[o.idx] = now.Sub(decidedAt)
-			}
-		}
-		switch {
-		case o.err != nil:
-			errs[o.idx] = o.err
-		case o.res.Exact && winner == nil:
-			o := o
-			winner = &o
-			if tracing {
-				decidedAt = time.Now()
-			}
-			cancel() // first exact answer wins; stop the losers
-		case !o.res.Exact && inexact == nil:
-			o := o
-			inexact = &o
-		}
-	}
-	cancel()
-	wg.Wait()
-
-	if tracing {
-		returned := winner
-		if returned == nil {
-			returned = inexact
-		}
-		ev := obs.RaceEvent{Duration: time.Since(raceStart), Racers: make([]obs.RacerOutcome, len(p.algos))}
-		for i, a := range p.algos {
-			ev.Racers[i] = obs.RacerOutcome{
-				Algorithm:     a.Name(),
-				Elapsed:       finish[i],
-				CancelLatency: latency[i],
-				Won:           returned != nil && returned.idx == i,
-				Err:           errs[i],
-			}
-		}
-		if returned != nil {
-			ev.Winner = p.algos[returned.idx].Name()
-		}
-		opt.Tracer.Race(ev)
-	}
-
-	if winner != nil {
-		return winner.res, nil
-	}
-	if inexact != nil {
-		return inexact.res, nil
-	}
-	if err := ctx.Err(); err != nil && opt.Canceled() {
-		return Result{}, core.ErrCanceled
-	}
-	var fails []error
-	for i, err := range errs {
-		if err != nil && !errors.Is(err, core.ErrCanceled) {
-			fails = append(fails, fmt.Errorf("ratio: portfolio member %s: %w", p.algos[i].Name(), err))
-		}
-	}
-	if len(fails) > 0 {
-		return Result{}, errors.Join(fails...)
-	}
-	return Result{}, core.ErrCanceled
+	r, err := core.Race(ctx, g, p.racers, opt, sentinels)
+	return fromCore(r), err
 }

@@ -3,9 +3,9 @@ package ratio
 // Cancellation-race stress for the portfolio: the losing racers must
 // observe the shared cancellation promptly (their only legitimate non-nil
 // error is core.ErrCanceled, surfaced at a probe checkpoint), every racer
-// goroutine must be joined before SolveContext returns (the
-// ratioPortfolioLive counter is the goleak-style ledger), and none of it
-// may ever change the answer.
+// goroutine must be joined before SolveContext returns (core.LiveRacers,
+// the count of core.Race's racer goroutines, is the goleak-style ledger),
+// and none of it may ever change the answer.
 
 import (
 	"context"
@@ -66,7 +66,7 @@ func TestPortfolioCancellationStress(t *testing.T) {
 		if !res.Ratio.Equal(want.Ratio) {
 			t.Fatalf("round %d: portfolio ρ* = %v, howard = %v", round, res.Ratio, want.Ratio)
 		}
-		if live := ratioPortfolioLive.Load(); live != 0 {
+		if live := core.LiveRacers(); live != 0 {
 			t.Fatalf("round %d: %d racer goroutines still live after Solve returned", round, live)
 		}
 		mu.Lock()
@@ -124,7 +124,7 @@ func TestPortfolioExternalCancelStress(t *testing.T) {
 			} else if !res.Ratio.Equal(want.Ratio) {
 				t.Fatalf("delay %v round %d: canceled race returned wrong ρ* %v, want %v", delay, round, res.Ratio, want.Ratio)
 			}
-			if live := ratioPortfolioLive.Load(); live != 0 {
+			if live := core.LiveRacers(); live != 0 {
 				t.Fatalf("delay %v round %d: %d racer goroutines still live", delay, round, live)
 			}
 		}
@@ -170,7 +170,7 @@ func TestPortfolioConcurrentSolves(t *testing.T) {
 	for err := range errCh {
 		t.Fatal(err)
 	}
-	if live := ratioPortfolioLive.Load(); live != 0 {
+	if live := core.LiveRacers(); live != 0 {
 		t.Fatalf("%d racer goroutines still live after all solves returned", live)
 	}
 }

@@ -1,14 +1,23 @@
-// Package ratio implements the minimum cost-to-time ratio problem (MCRP)
-// algorithms of the DAC'99 study: Howard's algorithm, Lawler's algorithm and
-// Burns' algorithm in their full ratio form, plus the classical
-// transit-time-expansion reduction to the minimum mean problem (the
-// Hartmann–Orlin O(Tm) approach).
+// Package ratio implements the minimum cost-to-time ratio problem (MCRP):
+// ten engines behind one Algorithm interface. Howard's policy iteration
+// (core's one Howard, in ratio form), Lawler's bisection and Burns'
+// primal-dual method are the DAC'99 study's algorithms in their full ratio
+// form; KO and YTO are the parametric shortest-path algorithms;
+// "expand" is the classical transit-time-expansion reduction to the
+// minimum mean problem (the Hartmann–Orlin O(Tm) approach); Megiddo's
+// parametric search, Dinkelbach's iteration, the Stern–Brocot mediant
+// search and BHK's bisection complete the roster. Lawler, Burns, Megiddo,
+// Dinkelbach, Stern–Brocot and BHK share one parametric negative-cycle
+// oracle (oracle.go).
 //
 // The cycle ratio of a cycle C is ρ(C) = w(C)/t(C) with t(C) > 0; the
 // minimum mean problem is the special case where every transit time is 1,
-// which is how the paper reduces its study to MCMP. This package keeps the
-// general form so the CAD applications in internal/perf (iteration bounds
-// of dataflow graphs, rate analysis) can use true transit times.
+// which is how the paper reduces its study to MCMP. The package's drivers,
+// certification and portfolio race are core's, run in ratio form through
+// core.SolveRatio and core.Race, so means and ratios share one pipeline.
+// This package keeps the general form so the CAD applications in
+// internal/perf (iteration bounds of dataflow graphs, rate analysis) can use
+// true transit times.
 package ratio
 
 import (
@@ -16,14 +25,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/counter"
 	"repro/internal/graph"
 	"repro/internal/numeric"
-	"repro/internal/obs"
-	"repro/internal/prep"
 )
 
 // Errors mirrored from the mean solvers, plus ratio-specific failures.
@@ -39,8 +45,8 @@ var (
 	ErrIterationLimit = errors.New("ratio: iteration limit exceeded")
 )
 
-// Result is the outcome of a ratio solver run; Mean holds ρ* (named for
-// symmetry with core.Result).
+// Result is the outcome of a ratio solver run; Ratio holds ρ* where
+// core.Result has Mean.
 type Result struct {
 	// Ratio is ρ*, exact.
 	Ratio numeric.Rat
@@ -153,126 +159,20 @@ func checkInput(g *graph.Graph) error {
 	return nil
 }
 
+// sentinels name the failures of core's driver, certifier and racer in
+// this package's terms.
+var sentinels = core.Sentinels{
+	Prefix: "ratio", Acyclic: ErrAcyclic, Certification: ErrCertification, NumericRange: ErrNumericRange,
+}
+
 // MinimumCycleRatio computes ρ* of an arbitrary graph with the given
 // algorithm, decomposing into strongly connected components exactly like
-// core.MinimumCycleMean.
-func MinimumCycleRatio(g *graph.Graph, algo Algorithm, opt core.Options) (res Result, err error) {
-	defer core.RecoverNumericRange(&err, ErrNumericRange)
-	res, err = minimumCycleRatioAny(g, algo, opt)
-	if err == nil && opt.Certify {
-		if cerr := certifyRatio(g, &res, opt.Tracer); cerr != nil {
-			return Result{}, cerr
-		}
-	}
-	return res, err
-}
-
-// emitSCC mirrors core's decomposition event for the ratio driver; start is
-// when the decomposition began, read only when tracing is enabled.
-func emitSCC(tr *obs.Trace, comps []graph.Component, start time.Time) {
-	if !tr.Enabled() {
-		return
-	}
-	ev := obs.SCCEvent{Components: len(comps), Sizes: make([]int, len(comps)), Duration: time.Since(start)}
-	for i, c := range comps {
-		ev.Sizes[i] = c.Graph.NumNodes()
-		ev.Nodes += c.Graph.NumNodes()
-		ev.Arcs += c.Graph.NumArcs()
-	}
-	tr.SCC(ev)
-}
-
-// minimumCycleRatioAny is MinimumCycleRatio without the certification and
-// recovery wrapper.
-func minimumCycleRatioAny(g *graph.Graph, algo Algorithm, opt core.Options) (Result, error) {
-	var start time.Time
-	if opt.Tracer.Enabled() {
-		start = time.Now()
-	}
-	comps := graph.CyclicComponents(g)
-	if len(comps) == 0 {
-		return Result{}, ErrAcyclic
-	}
-	emitSCC(opt.Tracer, comps, start)
-	var (
-		best    Result
-		found   bool
-		scratch prep.Scratch // kernelization arrays, reused across components
-	)
-	for ci, comp := range comps {
-		var (
-			r   Result
-			err error
-		)
-		sub := opt.WithTraceComponent(ci)
-		if opt.Kernelize {
-			kern := scratch.KernelizeTraced(comp.Graph, prep.Ratio, opt.Tracer, ci)
-			if found && kern.Err == nil && kern.HasBounds && !kern.Lower.Less(best.Ratio) {
-				// Cross-SCC pruning: every cycle of this component has ratio
-				// at least kern.Lower ≥ the incumbent, so it cannot win.
-				continue
-			}
-			r, err = solveComponentKernelized(algo, sub, comp.Graph, kern)
-		} else {
-			r, err = algo.Solve(comp.Graph, sub)
-		}
-		if err != nil {
-			return Result{}, fmt.Errorf("ratio: %s on component of %d nodes: %w", algo.Name(), comp.Graph.NumNodes(), err)
-		}
-		cycle := make([]graph.ArcID, len(r.Cycle))
-		for i, id := range r.Cycle {
-			cycle[i] = comp.ArcMap[id]
-		}
-		r.Cycle = cycle
-		if !found || r.Ratio.Less(best.Ratio) {
-			counts := best.Counts
-			counts.Add(r.Counts)
-			best = r
-			best.Counts = counts
-			found = true
-		} else {
-			best.Counts.Add(r.Counts)
-		}
-	}
-	return best, nil
-}
-
-// solveComponentKernelized solves one strongly connected cyclic component g
-// through its Ratio-mode kernel. Unlike the mean problem, a contracted ratio
-// kernel is still a plain ratio instance (transit times accumulate), so the
-// caller's algorithm solves it directly, with sharpened ρ* bounds when
-// available. Any kernel-solve failure falls back to an unkernelized solve of
-// the original component: accumulated kernel weights can exceed a solver's
-// range even when the original weights do not, and the raw solve also
-// reproduces the exact diagnostics an unkernelized run would report.
-func solveComponentKernelized(algo Algorithm, opt core.Options, g *graph.Graph, kern *prep.Kernel) (Result, error) {
-	if kern.Err != nil || (kern.Solved && !kern.HasCandidate) {
-		return algo.Solve(g, opt)
-	}
-	var best Result
-	have := false
-	if kern.HasCandidate {
-		best = Result{Ratio: kern.CandidateValue, Cycle: kern.CandidateCycle(), Exact: true}
-		have = true
-	}
-	if !kern.Solved {
-		sub := opt
-		if kern.HasBounds {
-			lo, hi := kern.Lower, kern.Upper
-			sub.LambdaLower, sub.LambdaUpper = &lo, &hi
-		}
-		r, err := algo.Solve(kern.G, sub)
-		if err != nil {
-			return algo.Solve(g, opt)
-		}
-		r.Cycle = kern.ExpandCycle(r.Cycle)
-		cts := r.Counts
-		if !have || r.Ratio.Less(best.Ratio) {
-			best = r
-		}
-		best.Counts = cts
-	}
-	return best, nil
+// core.MinimumCycleMean: it runs core's component driver and certifier in
+// ratio form, so Options.Parallelism, Kernelize and Certify apply as they do
+// there.
+func MinimumCycleRatio(g *graph.Graph, algo Algorithm, opt core.Options) (Result, error) {
+	r, err := core.SolveRatio(g, engine{algo}, opt, sentinels, false)
+	return fromCore(r), err
 }
 
 // MaximumCycleRatio computes the maximum cycle ratio by weight negation.
@@ -280,18 +180,22 @@ func solveComponentKernelized(algo Algorithm, opt core.Options, g *graph.Graph, 
 // of a dataflow graph and the cycle period of an event graph are maximum
 // ratios.
 func MaximumCycleRatio(g *graph.Graph, algo Algorithm, opt core.Options) (Result, error) {
-	r, err := MinimumCycleRatio(g.NegateWeights(), algo, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	r.Ratio = r.Ratio.Neg()
-	if r.Certificate != nil {
-		// The proof ran on the negated instance; report it in the caller's
-		// orientation (arc IDs are shared between g and its negation).
-		r.Certificate.Value = r.Certificate.Value.Neg()
-		r.Certificate.Maximize = true
-	}
-	return r, nil
+	r, err := core.SolveRatio(g, engine{algo}, opt, sentinels, true)
+	return fromCore(r), err
+}
+
+// engine presents a ratio Algorithm to core's driver and racer, which run
+// in ratio form with ρ* in core.Result.Mean.
+type engine struct{ Algorithm }
+
+func (e engine) Solve(g *graph.Graph, opt core.Options) (core.Result, error) {
+	r, err := e.Algorithm.Solve(g, opt)
+	return core.Result{Mean: r.Ratio, Cycle: r.Cycle, Exact: r.Exact, Counts: r.Counts}, err
+}
+
+// fromCore is the Result adapter back from core's ratio form.
+func fromCore(r core.Result) Result {
+	return Result{Ratio: r.Mean, Cycle: r.Cycle, Exact: r.Exact, Counts: r.Counts, Certificate: r.Certificate}
 }
 
 // cycleRatio returns w(C)/t(C) for a cycle, or ok=false if t(C) <= 0.

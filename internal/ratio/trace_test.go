@@ -1,8 +1,9 @@
 package ratio
 
-// The ratio driver and its guarded registry wrapper must emit the same obs
-// event stream as core's: SCC decomposition, per-component solver runs with
-// the ratio value, and the certification outcome.
+// Ratio solves run core's component driver and certifier, and the guarded
+// registry wrapper reports each engine run: the obs event stream must be
+// core's — SCC decomposition, per-component solver runs with the ratio
+// value, and the certification outcome.
 
 import (
 	"sync"
