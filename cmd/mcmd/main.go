@@ -89,12 +89,34 @@ func run(ctx context.Context, addr string, cfg serve.Config, drainWait time.Dura
 	return runListener(ctx, ln, cfg, drainWait, statsOnDrain)
 }
 
+// Connection limits. A client has ten seconds to send its request headers,
+// an idle keep-alive connection closes after two minutes, and the headers
+// of one request may total 64 KiB; larger ones get 431. There is no read or
+// write timeout, because a /v1/session stream stays open while its client
+// sends.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer is the daemon's HTTP server around h, with the connection
+// limits set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // runListener serves on an existing listener. Split from run so tests can
 // bind an ephemeral port themselves and drive the full signal-to-drain
 // lifecycle with their own context.
 func runListener(ctx context.Context, ln net.Listener, cfg serve.Config, drainWait time.Duration, statsOnDrain bool) error {
 	srv := serve.NewServer(cfg)
-	httpServer := &http.Server{Handler: srv}
+	httpServer := newHTTPServer(srv)
 	fmt.Fprintf(os.Stderr, "mcmd: serving on http://%s (solve: POST /v1/solve, sessions: POST /v1/session, metrics: /debug/vars, pprof: /debug/pprof/)\n", ln.Addr())
 
 	serveErr := make(chan error, 1)

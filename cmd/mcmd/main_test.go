@@ -130,3 +130,39 @@ func TestDaemonBindFailure(t *testing.T) {
 		t.Fatal("expected a bind error on an occupied port")
 	}
 }
+
+// TestDaemonConnectionLimits: the server bounds how long a client may take
+// over its headers and how long an idle connection stays open, and answers
+// headers past its limit with 431 instead of reading them.
+func TestDaemonConnectionLimits(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 || s.IdleTimeout <= 0 || s.MaxHeaderBytes <= 0 {
+		t.Fatalf("connection limits unset: header timeout %v, idle timeout %v, max header bytes %d",
+			s.ReadHeaderTimeout, s.IdleTimeout, s.MaxHeaderBytes)
+	}
+	if s.ReadTimeout != 0 || s.WriteTimeout != 0 {
+		t.Fatalf("read/write timeouts %v/%v would cut /v1/session streams", s.ReadTimeout, s.WriteTimeout)
+	}
+
+	url, sigterm, done := startDaemon(t, serve.Config{Workers: 1})
+	waitHealthy(t, url)
+	defer func() {
+		sigterm()
+		if err := <-done; err != nil {
+			t.Errorf("daemon exit: %v", err)
+		}
+	}()
+	req, err := http.NewRequest(http.MethodGet, url+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("x", 2*maxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("oversized headers: status %d, want %d", resp.StatusCode, http.StatusRequestHeaderFieldsTooLarge)
+	}
+}

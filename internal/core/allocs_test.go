@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/gen"
@@ -86,13 +88,16 @@ func TestMadaniAllocsPerOpPinned(t *testing.T) {
 }
 
 // TestKernelizedDriverAllocsPinned pins that the kernelized mean driver
-// allocates Kernelize's working arrays once per worker, not once per
+// allocates the kernelization working arrays once per worker, not once per
 // component. Most of the budget is the graphs each component needs: its
-// induced subgraph and its kernel, with their adjacency indexes (about 22
-// allocations per component in all); the contracted-kernel solve draws on
-// Howard's pooled workspace. Per-component working arrays would add ten
-// more for each of the 16 components, 160 in all, which neither ceiling
-// leaves room for.
+// part of the contracted graph and its kernel, with their adjacency indexes
+// (about 16 allocations per component in all); the contracted-kernel solve
+// draws on Howard's pooled workspace. Per-component working arrays would add
+// ten more for each of the 16 components, 160 in all, which neither ceiling
+// leaves room for. The bytes a solve allocates are pinned too, with one
+// worker and the collector off, so that pooled workspaces stay warm: the
+// whole-graph chain contraction measured 278 872 bytes per solve, where
+// copying every component and contracting it took 405 432.
 func TestKernelizedDriverAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")
@@ -119,6 +124,23 @@ func TestKernelizedDriverAllocsPinned(t *testing.T) {
 			t.Errorf("kernelized MaximumCycleMean with %d workers allocates %.1f objects/op, pinned at <= %.0f",
 				pin.workers, avg, pin.ceiling)
 		}
+	}
+
+	const solves, bytesCeiling = 20, 320_703 // 15% above the measured figure
+	opt := Options{Kernelize: true, Parallelism: 1}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	for i := -1; i < solves; i++ {
+		if i == 0 {
+			runtime.ReadMemStats(&before) // after one solve refills the pools
+		}
+		if _, err := MaximumCycleMean(g, howard, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / solves; perOp > bytesCeiling {
+		t.Errorf("kernelized MaximumCycleMean with 1 worker allocates %d bytes/op, pinned at <= %d", perOp, bytesCeiling)
 	}
 }
 

@@ -3,11 +3,12 @@ package core
 // The one component driver. MinimumCycleMean, MaximumCycleMean,
 // Session.Solve and internal/ratio's MinimumCycleRatio and
 // MaximumCycleRatio all run it: split the graph into strongly connected
-// components (the paper's decomposition), solve each cyclic component —
-// sequentially, or in a bounded worker pool under Options.Parallelism, and
-// through its kernel under Options.Kernelize — translate each witness cycle
-// back to the input graph, merge the components in decomposition order, and
-// certify the winner under Options.Certify.
+// components (the paper's decomposition; under Options.Kernelize, the graph
+// with its chains contracted), solve each cyclic component — sequentially,
+// or in a bounded worker pool under Options.Parallelism, and through its
+// kernel under Options.Kernelize — translate each witness cycle back to the
+// input graph, merge the components in decomposition order, and certify the
+// winner, on the input graph, under Options.Certify.
 //
 // Means and ratios run the same code under a transit view fixed per solve
 // (the paper's §1: the mean problem is the ratio problem with every transit
@@ -128,40 +129,96 @@ func solveComponents(g *graph.Graph, algo Algorithm, opt Options, f form) (Resul
 	if tr.Enabled() {
 		start = time.Now()
 	}
-	comps := graph.CyclicComponents(g)
-	if len(comps) == 0 {
+	p := split(g, opt.Kernelize, f)
+	if p.len() == 0 {
 		return Result{}, f.Acyclic
 	}
-	emitSCC(tr, comps, start)
+	emitSCC(tr, p, start)
 	var m merger
-	if workers := opt.workers(); workers > 1 && len(comps) > 1 {
-		outs := solvePool(g, comps, algo, opt, f, min(workers, len(comps)))
+	if workers := opt.workers(); workers > 1 && p.len() > 1 {
+		outs := solvePool(g, p, algo, opt, f, min(workers, p.len()))
 		for i := range outs {
 			if outs[i].err != nil {
 				// The sequential driver's error: the earliest failing
 				// component in decomposition order.
-				return Result{}, componentError(f, algo, comps[i], outs[i].err)
+				return Result{}, componentError(f, algo, p, i, outs[i].err)
 			}
 			m.add(outs[i].res)
 		}
 		return m.result(), nil
 	}
 	var scratch prep.Scratch // kernelization arrays, reused across components
-	for ci, comp := range comps {
+	for ci := 0; ci < p.len(); ci++ {
 		var kern *prep.Kernel
 		if opt.Kernelize {
-			kern = scratch.KernelizeTraced(comp.Graph, f.kernelMode(), tr, ci)
-			if m.prunes(kern, comp.Graph, f) {
+			kern = p.kernelize(&scratch, ci, f, tr)
+			// The mean form still solves a component whose weights leave
+			// ±(2^31−1), so that it reports ErrWeightRange exactly as an
+			// unkernelized pass would.
+			if m.prunes(kern) && p.inRange(ci, f) {
 				continue
 			}
 		}
-		r, err := solveComponent(g, comps, ci, algo, opt, f, kern)
+		r, err := solveComponent(g, p, ci, algo, opt, f, kern)
 		if err != nil {
-			return Result{}, componentError(f, algo, comp, err)
+			return Result{}, componentError(f, algo, p, ci, err)
 		}
 		m.add(r)
 	}
 	return m.result(), nil
+}
+
+// parts is the decomposition the driver solves: g's cyclic components, in
+// graph.CyclicComponents order. Under Options.Kernelize, when g has a chain
+// to contract, they come from prep.Contract instead: each component's kernel
+// is reduced from the contracted graph, and the component itself is built
+// only when a fallback solves it raw. A mean solve contracts only weights in
+// range, so that no component needs its own copy to check them.
+type parts struct {
+	comps []graph.Component // under con, each built on first use
+	con   *prep.Contraction
+}
+
+func split(g *graph.Graph, kernelize bool, f form) parts {
+	if kernelize && (!f.unit || weightsInRange(g)) {
+		if c := prep.Contract(g, f.kernelMode()); c != nil {
+			return parts{comps: make([]graph.Component, c.Len()), con: c}
+		}
+	}
+	return parts{comps: graph.CyclicComponents(g)}
+}
+
+func (p parts) len() int { return len(p.comps) }
+
+// size returns component i's node and arc count.
+func (p parts) size(i int) (nodes, arcs int) {
+	if p.con != nil {
+		return p.con.Size(i)
+	}
+	return p.comps[i].Graph.NumNodes(), p.comps[i].Graph.NumArcs()
+}
+
+// raw returns component i. The pool hands each component to one worker, so
+// workers build distinct entries.
+func (p parts) raw(i int) graph.Component {
+	if p.comps[i].Graph == nil {
+		p.comps[i] = p.con.Component(i)
+	}
+	return p.comps[i]
+}
+
+// kernelize reduces component i on s and reports its KernelEvent.
+func (p parts) kernelize(s *prep.Scratch, i int, f form, tr *obs.Trace) *prep.Kernel {
+	if p.con != nil {
+		return p.con.KernelizeTraced(s, i, tr)
+	}
+	return s.KernelizeTraced(p.comps[i].Graph, f.kernelMode(), tr, i)
+}
+
+// inRange reports whether component i meets the mean form's weight
+// contract; a ratio solve has none.
+func (p parts) inRange(i int, f form) bool {
+	return !f.unit || p.con != nil || weightsInRange(p.comps[i].Graph)
 }
 
 // componentOut is one pooled component's outcome, stored at its slot.
@@ -170,13 +227,13 @@ type componentOut struct {
 	err error
 }
 
-// solvePool solves comps on a bounded pool of workers, distributed through
-// an atomic work index, each worker with its own kernelization scratch. The
-// caller merges the outcomes in decomposition order after the join, so the
-// result does not depend on goroutine scheduling. There is no cross-SCC
-// pruning here: the incumbent would depend on completion order.
-func solvePool(g *graph.Graph, comps []graph.Component, algo Algorithm, opt Options, f form, workers int) []componentOut {
-	outs := make([]componentOut, len(comps))
+// solvePool solves the components on a bounded pool of workers, distributed
+// through an atomic work index, each worker with its own kernelization
+// scratch. The caller merges the outcomes in decomposition order after the
+// join, so the result does not depend on goroutine scheduling. There is no
+// cross-SCC pruning here: the incumbent would depend on completion order.
+func solvePool(g *graph.Graph, p parts, algo Algorithm, opt Options, f form, workers int) []componentOut {
+	outs := make([]componentOut, p.len())
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -186,7 +243,7 @@ func solvePool(g *graph.Graph, comps []graph.Component, algo Algorithm, opt Opti
 			var scratch prep.Scratch
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(comps) {
+				if i >= len(outs) {
 					return
 				}
 				// A panic inside a worker goroutine would kill the process
@@ -196,9 +253,9 @@ func solvePool(g *graph.Graph, comps []graph.Component, algo Algorithm, opt Opti
 					defer RecoverNumericRange(&outs[i].err, f.NumericRange)
 					var kern *prep.Kernel
 					if opt.Kernelize {
-						kern = scratch.KernelizeTraced(comps[i].Graph, f.kernelMode(), opt.Tracer, i)
+						kern = p.kernelize(&scratch, i, f, opt.Tracer)
 					}
-					outs[i].res, outs[i].err = solveComponent(g, comps, i, algo, opt, f, kern)
+					outs[i].res, outs[i].err = solveComponent(g, p, i, algo, opt, f, kern)
 				}()
 			}
 		}()
@@ -212,47 +269,52 @@ func solvePool(g *graph.Graph, comps []graph.Component, algo Algorithm, opt Opti
 // events report the component's index; tracer hooks see concurrent
 // emissions from the pool, which the obs contract requires them to
 // tolerate.
-func solveComponent(g *graph.Graph, comps []graph.Component, ci int, algo Algorithm, opt Options, f form, kern *prep.Kernel) (Result, error) {
-	comp := comps[ci]
+func solveComponent(g *graph.Graph, p parts, ci int, algo Algorithm, opt Options, f form, kern *prep.Kernel) (Result, error) {
 	opt.traceComponent = ci + 1
 	var (
-		r   Result
-		err error
+		r      Result
+		arcMap []graph.ArcID
+		err    error
 	)
 	if kern != nil {
-		r, err = solveKernel(algo, opt, f, comp.Graph, kern)
+		r, arcMap, err = solveKernel(p, ci, algo, opt, f, kern)
 	} else {
-		r, err = algo.Solve(comp.Graph, opt)
+		r, err = algo.Solve(p.comps[ci].Graph, opt)
+		arcMap = p.comps[ci].ArcMap
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	if !keepPotentials(g, comps, kern) {
+	if p.con != nil || !keepPotentials(g, p.comps, kern) {
 		r.potentials = nil
 	}
-	cycle := make([]graph.ArcID, len(r.Cycle))
-	for i, id := range r.Cycle {
-		cycle[i] = comp.ArcMap[id]
+	if arcMap != nil {
+		cycle := make([]graph.ArcID, len(r.Cycle))
+		for i, id := range r.Cycle {
+			cycle[i] = arcMap[id]
+		}
+		r.Cycle = cycle
 	}
-	r.Cycle = cycle
 	return r, nil
 }
 
-func componentError(f form, algo Algorithm, comp graph.Component, err error) error {
-	return fmt.Errorf("%s: %s on component of %d nodes: %w", f.Prefix, algo.Name(), comp.Graph.NumNodes(), err)
+func componentError(f form, algo Algorithm, p parts, ci int, err error) error {
+	nodes, _ := p.size(ci)
+	return fmt.Errorf("%s: %s on component of %d nodes: %w", f.Prefix, algo.Name(), nodes, err)
 }
 
 // emitSCC reports a decomposition that began at start to the tracer; a no-op
 // (and alloc-free) when tracing is disabled.
-func emitSCC(tr *obs.Trace, comps []graph.Component, start time.Time) {
+func emitSCC(tr *obs.Trace, p parts, start time.Time) {
 	if !tr.Enabled() {
 		return
 	}
-	ev := obs.SCCEvent{Components: len(comps), Sizes: make([]int, len(comps)), Duration: time.Since(start)}
-	for i, c := range comps {
-		ev.Sizes[i] = c.Graph.NumNodes()
-		ev.Nodes += c.Graph.NumNodes()
-		ev.Arcs += c.Graph.NumArcs()
+	ev := obs.SCCEvent{Components: p.len(), Sizes: make([]int, p.len()), Duration: time.Since(start)}
+	for i := range ev.Sizes {
+		nodes, arcs := p.size(i)
+		ev.Sizes[i] = nodes
+		ev.Nodes += nodes
+		ev.Arcs += arcs
 	}
 	tr.SCC(ev)
 }
@@ -304,12 +366,9 @@ func (m *merger) add(r Result) {
 
 // prunes reports whether the sequential driver may skip a component whose
 // kernel bounds every cycle value at or above the incumbent (cross-SCC
-// pruning). The mean form still solves a component whose weights leave
-// ±(2^31−1), so that it reports ErrWeightRange exactly as an unkernelized
-// pass would.
-func (m *merger) prunes(kern *prep.Kernel, g *graph.Graph, f form) bool {
-	return m.found && kern.Err == nil && kern.HasBounds && !kern.Lower.Less(m.best.Mean) &&
-		(!f.unit || weightsInRange(g))
+// pruning).
+func (m *merger) prunes(kern *prep.Kernel) bool {
+	return m.found && kern.Err == nil && kern.HasBounds && !kern.Lower.Less(m.best.Mean)
 }
 
 // result returns the winner with the summed counts. When some component

@@ -111,6 +111,19 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add([]byte{8, 0, 1, 5, 1, 2, 250, 2, 3, 3, 3, 4, 9, 4, 0, 1})
 	f.Add([]byte{9, 0, 0, 1, 1, 1, 255, 0, 1, 3, 1, 0, 4})
 	f.Add([]byte{1, 0, 1, 100, 1, 0, 156})
+	// Chain contraction's edge cases: a pure chain cycle; a chain between
+	// two components; a chain node as Tarjan's first root, with a tie
+	// between the components; a node that is a chain node only inside its
+	// component; a self-loop on a node with one other arc in and out; a
+	// chain that loops back to its start; loops that splice nodes in turn.
+	f.Add([]byte{2, 0, 1, 3, 1, 2, 255, 2, 3, 4, 3, 0, 2})
+	f.Add([]byte{3, 0, 1, 1, 1, 0, 2, 1, 2, 3, 2, 3, 4, 3, 4, 5, 4, 3, 6})
+	f.Add([]byte{3, 1, 2, 1, 1, 2, 2, 2, 1, 3, 3, 0, 1, 0, 4, 2, 4, 3, 3, 4, 3, 7})
+	f.Add([]byte{3, 0, 1, 1, 1, 2, 1, 2, 0, 1, 1, 3, 2, 3, 4, 3, 4, 3, 3})
+	f.Add([]byte{2, 0, 1, 2, 1, 2, 2, 2, 0, 2, 1, 1, 255, 0, 3, 5, 3, 0, 5})
+	f.Add([]byte{2, 0, 1, 1, 1, 2, 1, 2, 0, 1, 0, 3, 5, 3, 0, 5})
+	f.Add([]byte{7, 0, 5, 3, 1, 2, 2, 1, 7, 0, 2, 5, 5, 3, 0, 255, 4, 5, 4, 5, 6, 4, 5, 8, 254,
+		5, 3, 251, 6, 6, 1, 6, 1, 5, 7, 1, 254, 8, 4, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := decodeFuzzGraph(data, 10, 24)
 		if g == nil {
@@ -120,19 +133,28 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, rawErr := MinimumCycleMean(g, howard, Options{})
-		kr, krErr := MinimumCycleMean(g, howard, Options{Kernelize: true})
-		if (rawErr == nil) != (krErr == nil) {
-			t.Fatalf("error disagreement: raw=%v kernelized=%v", rawErr, krErr)
-		}
-		if rawErr != nil {
-			return
-		}
-		if !kr.Mean.Equal(raw.Mean) {
-			t.Fatalf("kernelized λ* = %v, raw = %v", kr.Mean, raw.Mean)
-		}
-		if err := g.ValidateCycle(kr.Cycle); err != nil {
-			t.Fatalf("kernelized cycle invalid on original graph: %v", err)
+		for _, solve := range []struct {
+			name string
+			run  func(*graph.Graph, Algorithm, Options) (Result, error)
+			opt  Options
+		}{
+			{"min", MinimumCycleMean, Options{Kernelize: true}},
+			{"max/2 workers", MaximumCycleMean, Options{Kernelize: true, Parallelism: 2}},
+		} {
+			raw, rawErr := solve.run(g, howard, Options{})
+			kr, krErr := solve.run(g, howard, solve.opt)
+			if (rawErr == nil) != (krErr == nil) {
+				t.Fatalf("%s: error disagreement: raw=%v kernelized=%v", solve.name, rawErr, krErr)
+			}
+			if rawErr != nil {
+				continue
+			}
+			if !kr.Mean.Equal(raw.Mean) {
+				t.Fatalf("%s: kernelized λ* = %v, raw = %v", solve.name, kr.Mean, raw.Mean)
+			}
+			if err := g.ValidateCycle(kr.Cycle); err != nil {
+				t.Fatalf("%s: kernelized cycle invalid on original graph: %v", solve.name, err)
+			}
 		}
 	})
 }

@@ -1,8 +1,9 @@
 package core
 
 // This file connects the internal/prep kernelization pipeline to the
-// component driver. Each strongly connected component is reduced before any
-// solver runs:
+// component driver. The driver contracts the input's chains before the SCC
+// split (see parts in driver.go), and each strongly connected component is
+// reduced before any solver runs:
 //
 //   - A fully solved kernel (everything collapsed into closed-form
 //     candidates) skips the solver entirely.
@@ -24,9 +25,10 @@ package core
 // the original weights do not, and the raw solve reproduces the exact
 // diagnostics an unkernelized run would report.
 //
-// In every case the critical cycle is expanded back to original arc IDs
-// before the driver sees it, so callers observe the same value and a valid
-// critical cycle whether or not kernelization ran.
+// Every fallback solves the raw component, which a contracted graph builds
+// only then. In every case the critical cycle is expanded back to original
+// arc IDs before the driver sees it, so callers observe the same value and a
+// valid critical cycle whether or not kernelization ran.
 
 import (
 	"time"
@@ -36,19 +38,30 @@ import (
 	"repro/internal/prep"
 )
 
-// solveKernel solves one strongly connected cyclic component g through its
-// precomputed kernel. The returned cycle uses g's arc IDs.
-func solveKernel(algo Algorithm, opt Options, f form, g *graph.Graph, kern *prep.Kernel) (Result, error) {
+// solveKernel solves component ci through its precomputed kernel. It
+// returns the arc map that takes the result's cycle to g's arc IDs: the
+// component's own, or nil when the kernel was reduced from the contracted
+// graph, whose paths use g's IDs already.
+func solveKernel(p parts, ci int, algo Algorithm, opt Options, f form, kern *prep.Kernel) (Result, []graph.ArcID, error) {
+	raw := func() (Result, []graph.ArcID, error) {
+		comp := p.raw(ci)
+		r, err := algo.Solve(comp.Graph, opt)
+		return r, comp.ArcMap, err
+	}
 	if kern.Err != nil || (kern.Solved && !kern.HasCandidate) {
 		// Unsupported input or a degenerate kernel: solve the original
 		// component so the proper solver diagnostics apply.
-		return algo.Solve(g, opt)
+		return raw()
 	}
-	if f.unit && !weightsInRange(g) {
+	if !p.inRange(ci, f) {
 		// Closed-form candidates and Howard's ratio form tolerate weights the
 		// mean solvers reject, but kernelization must not widen the input
 		// contract: defer to the raw solve's ErrWeightRange.
-		return algo.Solve(g, opt)
+		return raw()
+	}
+	var arcMap []graph.ArcID
+	if p.con == nil {
+		arcMap = p.comps[ci].ArcMap
 	}
 
 	var best Result
@@ -72,11 +85,11 @@ func solveKernel(algo Algorithm, opt Options, f form, g *graph.Graph, kern *prep
 			}
 			r, err = algo.Solve(kern.G, sub)
 			if err != nil && f.unit {
-				return Result{}, err
+				return Result{}, nil, err
 			}
 		}
 		if err != nil {
-			return algo.Solve(g, opt)
+			return raw()
 		}
 		r.Cycle = kern.ExpandCycle(r.Cycle)
 		cts := r.Counts
@@ -85,7 +98,7 @@ func solveKernel(algo Algorithm, opt Options, f form, g *graph.Graph, kern *prep
 		}
 		best.Counts = cts
 	}
-	return best, nil
+	return best, arcMap, nil
 }
 
 // solveContracted solves a contracted mean kernel with Howard in ratio form,

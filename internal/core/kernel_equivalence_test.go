@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/gen"
@@ -163,6 +164,36 @@ func TestKernelEquivalenceWeightRange(t *testing.T) {
 		}
 		if _, err := MinimumCycleMean(g, howard, Options{Kernelize: true, Parallelism: 4}); !errors.Is(err, ErrWeightRange) {
 			t.Errorf("%s kernelized parallel: err = %v, want ErrWeightRange", name, err)
+		}
+	}
+}
+
+// TestKernelEquivalenceComponentOrder: node 0 is a chain node and Tarjan's
+// first root, and both components have λ* = 2, so the merge's tie-break
+// shows their order. Every kernelized mode must find them in
+// graph.CyclicComponents order and report the first one's witness, as the
+// raw solve does.
+func TestKernelEquivalenceComponentOrder(t *testing.T) {
+	g := graph.FromArcs(5, []graph.Arc{
+		{From: 1, To: 2, Weight: 1, Transit: 1}, {From: 1, To: 2, Weight: 2, Transit: 1},
+		{From: 2, To: 1, Weight: 3, Transit: 1}, {From: 3, To: 0, Weight: 1, Transit: 1},
+		{From: 0, To: 4, Weight: 2, Transit: 1}, {From: 4, To: 3, Weight: 3, Transit: 1},
+		{From: 4, To: 3, Weight: 7, Transit: 1},
+	})
+	want := []graph.ArcID{5, 3, 4}
+	for _, name := range []string{"howard", "karp", "lawler", "madani"} {
+		algo := mustAlgo(t, name)
+		for _, workers := range []int{1, 2, 4} {
+			for _, certify := range []bool{false, true} {
+				opt := Options{Kernelize: true, Parallelism: workers, Certify: certify}
+				r, err := MinimumCycleMean(g, algo, opt)
+				if err != nil {
+					t.Fatalf("%s %+v: %v", name, opt, err)
+				}
+				if !r.Mean.Equal(numeric.FromInt(2)) || !reflect.DeepEqual(r.Cycle, want) {
+					t.Errorf("%s workers=%d certify=%v: λ* %v witness %v, want 2 %v", name, workers, certify, r.Mean, r.Cycle, want)
+				}
+			}
 		}
 	}
 }

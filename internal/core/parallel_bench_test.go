@@ -87,3 +87,23 @@ func benchKarp(b *testing.B, pooled bool) {
 // space-efficient Karp variant.
 func BenchmarkKarp2Fresh(b *testing.B) { benchKarp(b, false) }
 func BenchmarkKarp2Reuse(b *testing.B) { benchKarp(b, true) }
+
+// BenchmarkKernelizedDriverCircuit is the circuit-kernel workload's
+// operation: the certified, kernelized maximum cycle mean of a 30 976-node
+// circuit of 16 chain-heavy blocks, on two workers.
+func BenchmarkKernelizedDriverCircuit(b *testing.B) {
+	g, err := gen.MultiChain(16, gen.ChainConfig{
+		CoreN: 16, Chains: 32, ChainLen: 60, MinWeight: 1, MaxWeight: 1000, SelfLoops: 4, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Options{Kernelize: true, Parallelism: 2, Certify: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MaximumCycleMean(g, howardAlg{}, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -36,8 +36,10 @@ type SCCEvent struct {
 	// order. The slice is only valid during the hook call; copy to retain.
 	Sizes []int
 	// Duration is the wall time of the decomposition and component
-	// extraction. It is zero for core.DynSession, which maintains its
-	// components across deltas instead of decomposing at solve time.
+	// extraction; with core.Options.Kernelize it includes the whole-graph
+	// chain contraction that precedes the split. It is zero for
+	// core.DynSession, which maintains its components across deltas
+	// instead of decomposing at solve time.
 	Duration time.Duration
 }
 
@@ -46,8 +48,8 @@ type SCCEvent struct {
 type KernelEvent struct {
 	// Component is the component's index in decomposition order.
 	Component int
-	// OrigNodes/OrigArcs and Nodes/Arcs are the component's size before and
-	// after reduction.
+	// OrigNodes/OrigArcs and Nodes/Arcs are the component's size in the
+	// input graph and after reduction.
 	OrigNodes, OrigArcs int
 	Nodes, Arcs         int
 	// Contracted reports that chain contraction replaced some arcs.
@@ -62,7 +64,8 @@ type KernelEvent struct {
 	// Unsupported reports that the input fell outside the exact reductions
 	// (Kernel.Err != nil) and the raw component will be solved instead.
 	Unsupported bool
-	// Duration is the wall time of the component's kernelization.
+	// Duration is the wall time of the component's own reductions; a
+	// whole-graph chain contraction is in the SCCEvent's Duration.
 	Duration time.Duration
 }
 

@@ -56,3 +56,32 @@ func TestKernelEquivalenceRatioZeroTransit(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelEquivalenceRatioSumOverflow: a cycle whose weight sum leaves
+// int64 is unsupported by the kernel, so a kernelized solve reports what the
+// raw solve reports, for every engine, certified or not — not the wrapped
+// sum's ratio.
+func TestKernelEquivalenceRatioSumOverflow(t *testing.T) {
+	const w = int64(1) << 62
+	g := graph.FromArcs(3, []graph.Arc{
+		{From: 0, To: 1, Weight: w, Transit: 1},
+		{From: 1, To: 2, Weight: w, Transit: 1},
+		{From: 2, To: 0, Weight: w, Transit: 1},
+	})
+	for _, name := range Names() {
+		algo, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, certify := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				_, rawErr := MinimumCycleRatio(g, algo, core.Options{Certify: certify})
+				kr, krErr := MinimumCycleRatio(g, algo, core.Options{Kernelize: true, Certify: certify, Parallelism: workers})
+				if rawErr == nil || krErr == nil || rawErr.Error() != krErr.Error() {
+					t.Errorf("%s certify=%v workers=%d: raw error %v, kernelized error %v (ρ* %v, cycle %v)",
+						name, certify, workers, rawErr, krErr, kr.Ratio, kr.Cycle)
+				}
+			}
+		}
+	}
+}
