@@ -110,10 +110,11 @@ fuzz-smoke:
 
 # Tracing-overhead gate (also run by CI): a disabled tracer must stay
 # invisible — zero allocations on the nil-tracer emit path and the solver
-# alloc pins unchanged — and the obs event plumbing must emit correctly.
+# and graph-decode alloc pins unchanged — and the obs event plumbing must
+# emit correctly.
 trace-gate:
 	$(GO) test -run 'TestNilTraceZeroAllocs|TestEmptyTraceZeroAllocs' -count=1 ./internal/obs
-	$(GO) test -run 'AllocsPerOpPinned' -count=1 ./internal/core ./internal/ratio
+	$(GO) test -run 'AllocsPerOpPinned' -count=1 ./internal/core ./internal/ratio ./internal/graph
 	$(GO) test -run 'TestTrace' -count=1 ./internal/core ./internal/ratio
 
 # Live-serving smoke: mcmbench -serve must expose non-zero solver counters

@@ -42,6 +42,11 @@ type Graph struct {
 	outArcs  []ArcID
 	inStart  []int32 // len n+1; inArcs[inStart[v]:inStart[v+1]] enter v
 	inArcs   []ArcID
+
+	// strong marks a component graph built by CyclicComponents or
+	// FromComponentArcs: Tarjan has already proved it strongly connected,
+	// so IsStronglyConnected answers at once instead of proving it again.
+	strong bool
 }
 
 // Builder accumulates nodes and arcs and produces an immutable Graph.
@@ -105,6 +110,17 @@ func FromArcs(n int, arcs []Arc) *Graph {
 	g := &Graph{arcs: arcs}
 	g.outStart, g.outArcs = buildIndex(n, arcs, func(a Arc) NodeID { return a.From })
 	g.inStart, g.inArcs = buildIndex(n, arcs, func(a Arc) NodeID { return a.To })
+	return g
+}
+
+// FromComponentArcs is FromArcs for the arcs of one cyclic SCC, renumbered
+// to the component's own nodes, for code that rebuilds a component
+// CyclicComponents would return (prep's contraction does). The graph
+// carries the same strongly-connected mark, so the arcs must come from a
+// component Tarjan found; for any other arc set use FromArcs.
+func FromComponentArcs(n int, arcs []Arc) *Graph {
+	g := FromArcs(n, arcs)
+	g.strong = true
 	return g
 }
 

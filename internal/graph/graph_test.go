@@ -232,6 +232,32 @@ func TestCyclicComponents(t *testing.T) {
 	}
 }
 
+// TestStrongMark pins the proof CyclicComponents hands on: each component
+// graph is marked strongly connected, and an unmarked copy proves the same
+// by the sweep. InducedSubgraph shares induce but proves nothing, so its
+// subgraph of a node set that is not strongly connected still reads false.
+func TestStrongMark(t *testing.T) {
+	b := NewBuilder(4, 4)
+	b.AddNodes(4)
+	b.AddArc(0, 1, 1)
+	b.AddArc(1, 0, 2)
+	b.AddArc(1, 2, 3)
+	b.AddArc(2, 2, 4)
+	g := b.Build()
+	for _, c := range CyclicComponents(g) {
+		if !c.Graph.strong {
+			t.Errorf("component %v is not marked", c.Nodes)
+		}
+		if !IsStronglyConnected(FromArcs(c.Graph.NumNodes(), c.Graph.Arcs())) {
+			t.Errorf("component %v fails the sweep", c.Nodes)
+		}
+	}
+	sub, _ := g.InducedSubgraph([]NodeID{0, 1, 2})
+	if sub.strong || IsStronglyConnected(sub) {
+		t.Errorf("induced subgraph of {0,1,2}: strong = %v, IsStronglyConnected = %v, want false", sub.strong, IsStronglyConnected(sub))
+	}
+}
+
 func TestTopoOrder(t *testing.T) {
 	b := NewBuilder(4, 4)
 	b.AddNodes(4)

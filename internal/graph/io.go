@@ -21,12 +21,29 @@ import (
 // Write serializes g in the text format.
 func Write(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "p mcm %d %d\n", g.NumNodes(), g.NumArcs())
+	line := make([]byte, 0, 80) // the longest arc line is 68 bytes
+	line = append(line, "p mcm "...)
+	line = strconv.AppendInt(line, int64(g.NumNodes()), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, int64(g.NumArcs()), 10)
+	line = append(line, '\n')
+	if _, err := bw.Write(line); err != nil {
+		return err
+	}
 	for _, a := range g.Arcs() {
-		if a.Transit == 1 {
-			fmt.Fprintf(bw, "a %d %d %d\n", a.From+1, a.To+1, a.Weight)
-		} else {
-			fmt.Fprintf(bw, "a %d %d %d %d\n", a.From+1, a.To+1, a.Weight, a.Transit)
+		line = append(line[:0], "a "...)
+		line = strconv.AppendInt(line, int64(a.From+1), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(a.To+1), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, a.Weight, 10)
+		if a.Transit != 1 {
+			line = append(line, ' ')
+			line = strconv.AppendInt(line, a.Transit, 10)
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -96,6 +113,10 @@ func Read(r io.Reader) (*Graph, error) {
 	return FromArcs(n, arcs), nil
 }
 
+// maxLineLen bounds one line of the text format. bufio.Scanner enforces it:
+// a line of maxLineLen bytes or more fails with bufio.ErrTooLong.
+const maxLineLen = 1 << 24
+
 // scanText is the streaming core of the text-format parser, shared by Read,
 // ReadStream, and TextSource.Scan. It never retains arcs: each parsed record
 // is handed to yield and forgotten, so working memory is O(1) regardless of
@@ -104,88 +125,101 @@ func Read(r io.Reader) (*Graph, error) {
 // probes). yield returning false (or being nil) likewise stops the scan
 // early; both early stops return nil. A complete pass additionally enforces
 // that the number of arc records matches the problem line.
+//
+// bufio.Scanner splits the lines; each line is then read in one
+// left-to-right byte pass that skips separators, dispatches on the record
+// letter and parses every field's integer as the field is scanned. Errors
+// are decided after the whole line is scanned, in a fixed order (record
+// kind, field count, each field left to right, then ranges), and a field
+// that is not an int64 gets strconv's own message.
 func scanText(r io.Reader, onHeader func(n, m int) bool, yield func(id ArcID, a Arc) bool) error {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc.Buffer(make([]byte, 0, 1<<16), maxLineLen)
 	var (
 		n, m    int
 		arcSeen int
 		sawProb bool
 		lineNo  int
-		fields  [][]byte
+		f       fields
 	)
 	for sc.Scan() {
 		lineNo++
-		line := trimSpaceASCII(sc.Bytes())
-		if len(line) == 0 || line[0] == 'c' {
+		line := sc.Bytes()
+		start := 0
+		for start < len(line) && isSep(line[start]) {
+			start++
+		}
+		if start == len(line) || line[start] == 'c' {
 			continue
 		}
-		fields = splitFieldsASCII(fields[:0], line)
-		f0 := fields[0]
-		switch {
-		case len(f0) == 1 && f0[0] == 'p':
+		kind := line[start]
+		if kind != 'p' && kind != 'a' || start+1 < len(line) && !isSep(line[start+1]) {
+			end := start + 1
+			for end < len(line) && !isSep(line[end]) {
+				end++
+			}
+			return fmt.Errorf("graph: line %d: unknown record %q", lineNo, line[start:end])
+		}
+		line = line[start:]
+		f.scan(line)
+		if kind == 'p' {
 			if sawProb {
 				return fmt.Errorf("graph: line %d: duplicate problem line", lineNo)
 			}
-			if len(fields) != 4 || string(fields[1]) != "mcm" {
-				return fmt.Errorf("graph: line %d: want %q, got %q", lineNo, "p mcm <n> <m>", line)
+			if f.n != 3 || f.more || string(f.bytes(line, 0)) != "mcm" {
+				return fmt.Errorf("graph: line %d: want %q, got %q", lineNo, "p mcm <n> <m>", trimRightSep(line))
 			}
-			var err error
-			if n, err = atoiField(fields[2]); err != nil {
-				return fmt.Errorf("graph: line %d: bad node count: %v", lineNo, err)
+			if !f.ok[1] {
+				return fmt.Errorf("graph: line %d: bad node count: %v", lineNo, atoiErr(f.bytes(line, 1)))
 			}
-			if m, err = atoiField(fields[3]); err != nil {
-				return fmt.Errorf("graph: line %d: bad arc count: %v", lineNo, err)
+			if !f.ok[2] {
+				return fmt.Errorf("graph: line %d: bad arc count: %v", lineNo, atoiErr(f.bytes(line, 2)))
 			}
-			if n < 0 || m < 0 {
+			hn, hm := f.val[1], f.val[2]
+			if hn < 0 || hm < 0 {
 				return fmt.Errorf("graph: line %d: negative size", lineNo)
 			}
-			if n > maxReadDim || m > maxReadDim {
-				return fmt.Errorf("graph: line %d: size %dx%d exceeds limit %d", lineNo, n, m, maxReadDim)
+			if hn > maxReadDim || hm > maxReadDim {
+				return fmt.Errorf("graph: line %d: size %dx%d exceeds limit %d", lineNo, hn, hm, maxReadDim)
 			}
+			n, m = int(hn), int(hm)
 			sawProb = true
 			if !onHeader(n, m) {
 				return nil
 			}
-		case len(f0) == 1 && f0[0] == 'a':
-			if !sawProb {
-				return fmt.Errorf("graph: line %d: arc before problem line", lineNo)
-			}
-			if len(fields) != 4 && len(fields) != 5 {
-				return fmt.Errorf("graph: line %d: want %q, got %q", lineNo, "a <from> <to> <weight> [transit]", line)
-			}
-			u, err := atoiField(fields[1])
-			if err != nil {
-				return fmt.Errorf("graph: line %d: bad from node: %v", lineNo, err)
-			}
-			v, err := atoiField(fields[2])
-			if err != nil {
-				return fmt.Errorf("graph: line %d: bad to node: %v", lineNo, err)
-			}
-			w, err := int64Field(fields[3])
-			if err != nil {
-				return fmt.Errorf("graph: line %d: bad weight: %v", lineNo, err)
-			}
-			t := int64(1)
-			if len(fields) == 5 {
-				if t, err = int64Field(fields[4]); err != nil {
-					return fmt.Errorf("graph: line %d: bad transit: %v", lineNo, err)
-				}
-			}
-			if u < 1 || u > n || v < 1 || v > n {
-				return fmt.Errorf("graph: line %d: node out of range [1,%d]", lineNo, n)
-			}
-			if arcSeen == m {
-				return fmt.Errorf("graph: line %d: more arcs than the %d promised by the problem line", lineNo, m)
-			}
-			a := Arc{From: NodeID(u - 1), To: NodeID(v - 1), Weight: w, Transit: t}
-			id := ArcID(arcSeen)
-			arcSeen++
-			if yield == nil || !yield(id, a) {
-				return nil
-			}
-		default:
-			return fmt.Errorf("graph: line %d: unknown record %q", lineNo, f0)
+			continue
+		}
+		if !sawProb {
+			return fmt.Errorf("graph: line %d: arc before problem line", lineNo)
+		}
+		if f.n < 3 || f.more {
+			return fmt.Errorf("graph: line %d: want %q, got %q", lineNo, "a <from> <to> <weight> [transit]", trimRightSep(line))
+		}
+		switch {
+		case !f.ok[0]:
+			return fmt.Errorf("graph: line %d: bad from node: %v", lineNo, atoiErr(f.bytes(line, 0)))
+		case !f.ok[1]:
+			return fmt.Errorf("graph: line %d: bad to node: %v", lineNo, atoiErr(f.bytes(line, 1)))
+		case !f.ok[2]:
+			return fmt.Errorf("graph: line %d: bad weight: %v", lineNo, parseIntErr(f.bytes(line, 2)))
+		case f.n == 4 && !f.ok[3]:
+			return fmt.Errorf("graph: line %d: bad transit: %v", lineNo, parseIntErr(f.bytes(line, 3)))
+		}
+		u, v, t := f.val[0], f.val[1], int64(1)
+		if f.n == 4 {
+			t = f.val[3]
+		}
+		if u < 1 || u > int64(n) || v < 1 || v > int64(n) {
+			return fmt.Errorf("graph: line %d: node out of range [1,%d]", lineNo, n)
+		}
+		if arcSeen == m {
+			return fmt.Errorf("graph: line %d: more arcs than the %d promised by the problem line", lineNo, m)
+		}
+		a := Arc{From: NodeID(u - 1), To: NodeID(v - 1), Weight: f.val[2], Transit: t}
+		id := ArcID(arcSeen)
+		arcSeen++
+		if yield == nil || !yield(id, a) {
+			return nil
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -200,95 +234,116 @@ func scanText(r io.Reader, onHeader func(n, m int) bool, yield func(id ArcID, a 
 	return nil
 }
 
-// isSpaceASCII matches the whitespace the text format uses as a field
-// separator. (Exotic Unicode spaces end up inside a field and fail its
-// numeric parse with a normal line-numbered error.)
-func isSpaceASCII(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+// fields holds the fields that follow a record letter, up to the four an
+// arc line may have. Each field is located and parsed as a base-10 int64 in
+// the same byte pass, with strconv's syntax: an optional sign, then one or
+// more digits.
+type fields struct {
+	start, end [4]int
+	val        [4]int64
+	ok         [4]bool // val is the field's value; false for any field strconv rejects
+	n          int     // fields found
+	more       bool    // a fifth field follows
 }
 
-// trimSpaceASCII returns b without leading/trailing ASCII whitespace; a
-// subslice, never a copy.
-func trimSpaceASCII(b []byte) []byte {
-	for len(b) > 0 && isSpaceASCII(b[0]) {
-		b = b[1:]
-	}
-	for len(b) > 0 && isSpaceASCII(b[len(b)-1]) {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// splitFieldsASCII appends the whitespace-separated fields of line to dst
-// (subslices of line, no copies) and returns it; reusing dst across lines
-// keeps the per-line parse allocation-free.
-func splitFieldsASCII(dst [][]byte, line []byte) [][]byte {
-	i := 0
-	for i < len(line) {
-		for i < len(line) && isSpaceASCII(line[i]) {
+// scan reads the fields of line after its one-byte record letter.
+func (f *fields) scan(line []byte) {
+	f.n, f.more = 0, false
+	i := 1
+	for {
+		for i < len(line) && isSep(line[i]) {
 			i++
 		}
 		if i == len(line) {
-			break
+			return
+		}
+		k := f.n
+		if k == len(f.val) {
+			f.more = true
+			return
 		}
 		start := i
-		for i < len(line) && !isSpaceASCII(line[i]) {
+		neg := line[i] == '-'
+		if neg || line[i] == '+' {
 			i++
 		}
-		dst = append(dst, line[start:i])
+		// Up to 18 digits cannot overflow u; longer runs are re-read
+		// exactly once the field ends.
+		digits := i
+		var u uint64
+		for i < len(line) {
+			d := line[i] - '0'
+			if d > 9 {
+				break
+			}
+			u = u*10 + uint64(d)
+			i++
+		}
+		ok := i > digits
+		if i < len(line) && !isSep(line[i]) {
+			ok = false
+			for i < len(line) && !isSep(line[i]) {
+				i++
+			}
+		} else if i-digits > 18 {
+			u, ok = magnitude(line[digits:i])
+		}
+		var v int64
+		switch {
+		case neg:
+			v = -int64(u)
+		case u > 1<<63-1:
+			ok = false
+		default:
+			v = int64(u)
+		}
+		f.start[k], f.end[k], f.val[k], f.ok[k] = start, i, v, ok
+		f.n = k + 1
 	}
-	return dst
 }
 
-// parseIntBytes is the allocation-free fast path for base-10 signed
-// integers. ok is false on any syntax or range trouble; callers then fall
-// back to strconv on a copied string so error values stay byte-identical to
-// the pre-streaming parser.
-func parseIntBytes(b []byte) (int64, bool) {
-	i := 0
-	neg := false
-	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
-		neg = b[0] == '-'
-		i = 1
-	}
-	if i == len(b) {
-		return 0, false
-	}
-	var v uint64
-	for ; i < len(b); i++ {
-		c := b[i]
-		if c < '0' || c > '9' {
+// magnitude parses a run of decimal digits, reporting false when its value
+// exceeds 2⁶³, the largest magnitude an int64 field can have.
+func magnitude(digits []byte) (uint64, bool) {
+	var u uint64
+	for _, c := range digits {
+		if u > 1<<63/10 {
 			return 0, false
 		}
-		if v > (1<<63-9)/10 {
+		if u = u*10 + uint64(c-'0'); u > 1<<63 {
 			return 0, false
 		}
-		v = v*10 + uint64(c-'0')
 	}
-	if neg {
-		if v > 1<<63 {
-			return 0, false
-		}
-		return -int64(v), true
-	}
-	if v >= 1<<63 {
-		return 0, false
-	}
-	return int64(v), true
+	return u, true
 }
 
-func atoiField(b []byte) (int, error) {
-	if v, ok := parseIntBytes(b); ok {
-		return int(v), nil
+// bytes returns field k of line.
+func (f *fields) bytes(line []byte, k int) []byte { return line[f.start[k]:f.end[k]] }
+
+// isSep matches the six ASCII field separators of the text format: space,
+// \t, \n, \v, \f and \r. Any other byte, a Unicode space included, belongs
+// to a field and fails its numeric parse with a line-numbered error.
+func isSep(c byte) bool { return c == ' ' || c-'\t' <= '\r'-'\t' }
+
+// trimRightSep returns line without its trailing separators.
+func trimRightSep(line []byte) []byte {
+	for len(line) > 0 && isSep(line[len(line)-1]) {
+		line = line[:len(line)-1]
 	}
-	return strconv.Atoi(string(b))
+	return line
 }
 
-func int64Field(b []byte) (int64, error) {
-	if v, ok := parseIntBytes(b); ok {
-		return v, nil
-	}
-	return strconv.ParseInt(string(b), 10, 64)
+// atoiErr and parseIntErr return strconv's error for a field the one-pass
+// parse rejected, so node, count, weight and transit diagnostics keep
+// strconv's wording and function name. They run only on the error path.
+func atoiErr(b []byte) error {
+	_, err := strconv.Atoi(string(b))
+	return err
+}
+
+func parseIntErr(b []byte) error {
+	_, err := strconv.ParseInt(string(b), 10, 64)
+	return err
 }
 
 // WriteDOT emits g in Graphviz DOT syntax. highlight, if non-nil, is a set

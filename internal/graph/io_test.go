@@ -1,7 +1,11 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -114,6 +118,67 @@ func TestReadSizeLimit(t *testing.T) {
 	// fine; the arc-count check still fires because no arcs follow.
 	if _, err := Read(strings.NewReader("p mcm 16 1\n")); err == nil {
 		t.Error("promised arcs missing: expected error")
+	}
+}
+
+// TestReadLineLimit pins the line limit bufio.Scanner enforces: a line one
+// byte under 2²⁴ parses, and a line of 2²⁴ bytes fails with
+// bufio.ErrTooLong, exactly as in the reference parser.
+func TestReadLineLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("reads two 16 MiB lines")
+	}
+	for _, c := range []struct {
+		lineLen int
+		want    error
+	}{{maxLineLen - 1, nil}, {maxLineLen, bufio.ErrTooLong}} {
+		line := bytes.Repeat([]byte{' '}, c.lineLen)
+		copy(line, "a 1 1 5")
+		input := append(append([]byte("p mcm 1 1\n"), line...), '\n')
+		if got, want := collectScan(scanText, bytes.NewReader(input)), collectScan(referenceScanText, bytes.NewReader(input)); got.Err != want.Err || len(got.Arcs) != len(want.Arcs) {
+			t.Errorf("%d-byte line: scanText = %+v, reference = %+v", c.lineLen, got, want)
+		}
+		if _, err := Read(bytes.NewReader(input)); !errors.Is(err, c.want) {
+			t.Errorf("%d-byte line: err = %v, want %v", c.lineLen, err, c.want)
+		}
+	}
+}
+
+// TestWriteMatchesReference pins Write's output byte for byte to the fmt
+// serializer it replaced, on random graphs with transit ≠ 1, zero and
+// negative weights and transits, and values at ±2⁶³.
+func TestWriteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, 2, math.MaxInt64 - 1, math.MaxInt64}
+	value := func() int64 {
+		switch rng.Intn(3) {
+		case 0:
+			return extremes[rng.Intn(len(extremes))]
+		case 1:
+			return rng.Int63() - rng.Int63()
+		}
+		return rng.Int63n(20001) - 5000
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		arcs := make([]Arc, rng.Intn(4*n))
+		for i := range arcs {
+			arcs[i] = Arc{From: NodeID(rng.Intn(n)), To: NodeID(rng.Intn(n)), Weight: value(), Transit: 1}
+			if rng.Intn(2) == 0 {
+				arcs[i].Transit = value()
+			}
+		}
+		g := FromArcs(n, arcs)
+		var got, want bytes.Buffer
+		if err := Write(&got, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := referenceWrite(&want, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("trial %d: Write differs from the reference:\n%q\n%q", trial, got.Bytes(), want.Bytes())
+		}
 	}
 }
 

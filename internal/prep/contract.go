@@ -200,7 +200,7 @@ func (c *Contraction) Component(i int) graph.Component {
 			}
 		}
 	}
-	return graph.Component{Graph: graph.FromArcs(len(nodes), arcs), Nodes: nodes, ArcMap: arcMap}
+	return graph.Component{Graph: graph.FromComponentArcs(len(nodes), arcs), Nodes: nodes, ArcMap: arcMap}
 }
 
 // Kernelize reduces component i. The kernel's node map, expansion paths and

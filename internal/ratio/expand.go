@@ -1,6 +1,7 @@
 package ratio
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -75,7 +76,10 @@ func (e expandAlg) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 
 	exp, origin := Expand(g)
 	res, err := e.inner.Solve(exp, opt)
-	if err != nil {
+	switch {
+	case errors.Is(err, core.ErrWeightRange) || errors.Is(err, core.ErrNumericRange):
+		return Result{}, fmt.Errorf("%w (inner %s on expanded graph: %v)", ErrNumericRange, e.inner.Name(), err)
+	case err != nil:
 		return Result{}, fmt.Errorf("ratio: inner %s on expanded graph: %w", e.inner.Name(), err)
 	}
 

@@ -115,6 +115,31 @@ func TestCheckInputRejections(t *testing.T) {
 	if err := checkInput(b4.Build()); err != ErrAcyclic {
 		t.Fatalf("got %v", err)
 	}
+	// Zero-transit arcs: rejected when they close a cycle on their own,
+	// accepted when they form a DAG.
+	for _, c := range []struct {
+		name string
+		arcs []graph.Arc
+		want error
+	}{
+		{"zero-transit self-loop", []graph.Arc{
+			{From: 0, To: 1, Weight: 1, Transit: 1}, {From: 1, To: 0, Weight: 1, Transit: 1}, {From: 1, To: 1, Weight: 5, Transit: 0},
+		}, ErrNonPositiveTransit},
+		{"zero-transit 2-cycle", []graph.Arc{
+			{From: 0, To: 1, Weight: 1, Transit: 0}, {From: 1, To: 0, Weight: 2, Transit: 0}, {From: 1, To: 2, Weight: 1, Transit: 1}, {From: 2, To: 0, Weight: 1, Transit: 1},
+		}, ErrNonPositiveTransit},
+		{"zero-transit diamond DAG", []graph.Arc{
+			{From: 0, To: 1, Weight: 1, Transit: 0}, {From: 0, To: 2, Weight: 2, Transit: 0}, {From: 1, To: 3, Weight: 3, Transit: 0}, {From: 2, To: 3, Weight: 4, Transit: 0}, {From: 3, To: 0, Weight: 5, Transit: 2},
+		}, nil},
+	} {
+		n := 0
+		for _, a := range c.arcs {
+			n = max(n, int(a.From)+1, int(a.To)+1)
+		}
+		if err := checkInput(graph.FromArcs(n, c.arcs)); err != c.want {
+			t.Errorf("%s: got %v, want %v", c.name, err, c.want)
+		}
+	}
 }
 
 func TestNewExpandCustomInner(t *testing.T) {

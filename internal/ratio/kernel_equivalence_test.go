@@ -1,6 +1,7 @@
 package ratio
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -60,7 +61,8 @@ func TestKernelEquivalenceRatioZeroTransit(t *testing.T) {
 // TestKernelEquivalenceRatioSumOverflow: a cycle whose weight sum leaves
 // int64 is unsupported by the kernel, so a kernelized solve reports what the
 // raw solve reports, for every engine, certified or not — not the wrapped
-// sum's ratio.
+// sum's ratio. Either way the error is ErrNumericRange, expand's included
+// (its inner mean solver rejects the weights with core.ErrWeightRange).
 func TestKernelEquivalenceRatioSumOverflow(t *testing.T) {
 	const w = int64(1) << 62
 	g := graph.FromArcs(3, []graph.Arc{
@@ -80,6 +82,10 @@ func TestKernelEquivalenceRatioSumOverflow(t *testing.T) {
 				if rawErr == nil || krErr == nil || rawErr.Error() != krErr.Error() {
 					t.Errorf("%s certify=%v workers=%d: raw error %v, kernelized error %v (ρ* %v, cycle %v)",
 						name, certify, workers, rawErr, krErr, kr.Ratio, kr.Cycle)
+				}
+				if !errors.Is(rawErr, ErrNumericRange) || !errors.Is(krErr, ErrNumericRange) {
+					t.Errorf("%s certify=%v workers=%d: raw error %v, kernelized error %v, want ErrNumericRange",
+						name, certify, workers, rawErr, krErr)
 				}
 			}
 		}

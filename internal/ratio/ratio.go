@@ -124,10 +124,12 @@ func checkInput(g *graph.Graph) error {
 	if g.NumNodes() == 0 || g.NumArcs() == 0 {
 		return ErrAcyclic
 	}
+	zeroTransit := false
 	for _, a := range g.Arcs() {
 		if a.Transit < 0 {
 			return fmt.Errorf("ratio: negative transit time on arc %d->%d", a.From, a.To)
 		}
+		zeroTransit = zeroTransit || a.Transit == 0
 	}
 	if !graph.IsStronglyConnected(g) {
 		return ErrNotStronglyConnected
@@ -143,18 +145,8 @@ func checkInput(g *graph.Graph) error {
 			return ErrAcyclic
 		}
 	}
-	// Zero-transit cycles: any cycle among the t = 0 arcs.
-	var zeroArcs []graph.Arc
-	for _, a := range g.Arcs() {
-		if a.Transit == 0 {
-			zeroArcs = append(zeroArcs, a)
-		}
-	}
-	if len(zeroArcs) > 0 {
-		zg := graph.FromArcs(g.NumNodes(), zeroArcs)
-		if graph.HasCycle(zg) {
-			return ErrNonPositiveTransit
-		}
+	if zeroTransit && graph.HasZeroTransitCycle(g) {
+		return ErrNonPositiveTransit
 	}
 	return nil
 }
