@@ -267,8 +267,6 @@ func (f *fields) scan(line []byte) {
 		if neg || line[i] == '+' {
 			i++
 		}
-		// Up to 18 digits cannot overflow u; longer runs are re-read
-		// exactly once the field ends.
 		digits := i
 		var u uint64
 		for i < len(line) {
@@ -285,36 +283,21 @@ func (f *fields) scan(line []byte) {
 			for i < len(line) && !isSep(line[i]) {
 				i++
 			}
-		} else if i-digits > 18 {
-			u, ok = magnitude(line[digits:i])
 		}
-		var v int64
-		switch {
-		case neg:
-			v = -int64(u)
-		case u > 1<<63-1:
-			ok = false
-		default:
-			v = int64(u)
+		v := int64(u)
+		if neg {
+			v = -v
+		}
+		if ok && i-digits > 18 {
+			// Up to 18 digits cannot overflow u; strconv reads a longer
+			// run exactly.
+			var err error
+			v, err = strconv.ParseInt(string(line[start:i]), 10, 64)
+			ok = err == nil
 		}
 		f.start[k], f.end[k], f.val[k], f.ok[k] = start, i, v, ok
 		f.n = k + 1
 	}
-}
-
-// magnitude parses a run of decimal digits, reporting false when its value
-// exceeds 2⁶³, the largest magnitude an int64 field can have.
-func magnitude(digits []byte) (uint64, bool) {
-	var u uint64
-	for _, c := range digits {
-		if u > 1<<63/10 {
-			return 0, false
-		}
-		if u = u*10 + uint64(c-'0'); u > 1<<63 {
-			return 0, false
-		}
-	}
-	return u, true
 }
 
 // bytes returns field k of line.

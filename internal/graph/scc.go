@@ -191,12 +191,10 @@ func KosarajuSCC(g *Graph) *SCC {
 	return &SCC{Comp: comp, Count: int(nComp), Members: groupMembers(comp, nComp)}
 }
 
-// reachWS is pooled scratch for IsStronglyConnected and
-// HasZeroTransitCycle, which sit on the solvers' input-validation paths and
-// would otherwise allocate per solve.
+// reachWS is pooled scratch for IsStronglyConnected, which sits on every
+// solver's input-validation path and would otherwise allocate per solve.
 type reachWS struct {
 	seen  []bool
-	indeg []int32
 	stack []NodeID
 }
 
@@ -272,48 +270,6 @@ func HasCycle(g *Graph) bool {
 		}
 	}
 	return false
-}
-
-// HasZeroTransitCycle reports whether the arcs of g with transit time 0
-// contain a directed cycle, a self-loop included: a cycle whose
-// cost-to-time ratio is undefined. It peels those arcs in place on g's
-// out-adjacency, Kahn-style, with pooled scratch: a cycle remains exactly
-// when some node never runs out of unpeeled zero-transit in-arcs.
-func HasZeroTransitCycle(g *Graph) bool {
-	n := g.NumNodes()
-	ws := reachPool.Get().(*reachWS)
-	defer reachPool.Put(ws)
-	if cap(ws.indeg) < n {
-		ws.indeg = make([]int32, n)
-	}
-	indeg := ws.indeg[:n]
-	clear(indeg)
-	for _, a := range g.arcs {
-		if a.Transit == 0 {
-			indeg[a.To]++
-		}
-	}
-	stack := ws.stack[:0]
-	for v, d := range indeg {
-		if d == 0 {
-			stack = append(stack, NodeID(v))
-		}
-	}
-	peeled := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		peeled++
-		for _, id := range g.outArcs[g.outStart[v]:g.outStart[v+1]] {
-			if a := g.arcs[id]; a.Transit == 0 {
-				if indeg[a.To]--; indeg[a.To] == 0 {
-					stack = append(stack, a.To)
-				}
-			}
-		}
-	}
-	ws.stack = stack
-	return peeled < n
 }
 
 // CyclicComponents returns, for each SCC that can contain a cycle (more than

@@ -76,11 +76,12 @@ func (e expandAlg) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 
 	exp, origin := Expand(g)
 	res, err := e.inner.Solve(exp, opt)
-	switch {
-	case errors.Is(err, core.ErrWeightRange) || errors.Is(err, core.ErrNumericRange):
-		return Result{}, fmt.Errorf("%w (inner %s on expanded graph: %v)", ErrNumericRange, e.inner.Name(), err)
-	case err != nil:
-		return Result{}, fmt.Errorf("ratio: inner %s on expanded graph: %w", e.inner.Name(), err)
+	if err != nil {
+		err = fmt.Errorf("ratio: inner %s on expanded graph: %w", e.inner.Name(), err)
+		if errors.Is(err, core.ErrWeightRange) || errors.Is(err, core.ErrNumericRange) {
+			err = innerRangeError{err}
+		}
+		return Result{}, err
 	}
 
 	// Map the expanded cycle back: keep the arcs that begin original arcs,
@@ -136,3 +137,14 @@ func Expand(g *graph.Graph) (exp *graph.Graph, origin []graph.ArcID) {
 	}
 	return b.Build(), origin
 }
+
+// innerRangeError is a range error of expand's inner mean solver. It
+// matches ErrNumericRange, the class every other ratio engine reports
+// out-of-range input under, and keeps the inner error's text and sentinel:
+// a weight beyond the inner solver's ±(2^31−1) contract fits int64, so it
+// stays core.ErrWeightRange (mcmd's weight_range) rather than being
+// reported as int64 overflow.
+type innerRangeError struct{ err error }
+
+func (e innerRangeError) Error() string   { return e.err.Error() }
+func (e innerRangeError) Unwrap() []error { return []error{ErrNumericRange, e.err} }

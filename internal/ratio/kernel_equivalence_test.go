@@ -62,7 +62,8 @@ func TestKernelEquivalenceRatioZeroTransit(t *testing.T) {
 // int64 is unsupported by the kernel, so a kernelized solve reports what the
 // raw solve reports, for every engine, certified or not — not the wrapped
 // sum's ratio. Either way the error is ErrNumericRange, expand's included
-// (its inner mean solver rejects the weights with core.ErrWeightRange).
+// (its inner mean solver rejects the weights with core.ErrWeightRange, which
+// the error also still matches).
 func TestKernelEquivalenceRatioSumOverflow(t *testing.T) {
 	const w = int64(1) << 62
 	g := graph.FromArcs(3, []graph.Arc{
@@ -86,6 +87,10 @@ func TestKernelEquivalenceRatioSumOverflow(t *testing.T) {
 				if !errors.Is(rawErr, ErrNumericRange) || !errors.Is(krErr, ErrNumericRange) {
 					t.Errorf("%s certify=%v workers=%d: raw error %v, kernelized error %v, want ErrNumericRange",
 						name, certify, workers, rawErr, krErr)
+				}
+				if name == "expand" && (!errors.Is(rawErr, core.ErrWeightRange) || !errors.Is(krErr, core.ErrWeightRange)) {
+					t.Errorf("expand certify=%v workers=%d: raw error %v, kernelized error %v, want core.ErrWeightRange too",
+						certify, workers, rawErr, krErr)
 				}
 			}
 		}

@@ -145,8 +145,17 @@ func checkInput(g *graph.Graph) error {
 			return ErrAcyclic
 		}
 	}
-	if zeroTransit && graph.HasZeroTransitCycle(g) {
-		return ErrNonPositiveTransit
+	// Zero-transit cycles: any cycle among the t = 0 arcs.
+	if zeroTransit {
+		var zeroArcs []graph.Arc
+		for _, a := range g.Arcs() {
+			if a.Transit == 0 {
+				zeroArcs = append(zeroArcs, a)
+			}
+		}
+		if graph.HasCycle(graph.FromArcs(g.NumNodes(), zeroArcs)) {
+			return ErrNonPositiveTransit
+		}
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/numeric"
@@ -262,6 +263,32 @@ func TestTypedSolverErrors(t *testing.T) {
 		}
 		if res.Error.Code != wantCodes[res.ID] {
 			t.Fatalf("%s: code %q, want %q (%s)", res.ID, res.Error.Code, wantCodes[res.ID], res.Error.Message)
+		}
+	}
+}
+
+// TestExpandWeightRange pins the wire form of a ratio solve by expand whose
+// weight (2^33) fits int64 but not the inner mean solver's ±(2^31−1)
+// contract: weight_range with the inner solver's message, although the Go
+// error also matches ratio.ErrNumericRange.
+func TestExpandWeightRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	g := graph.FromArcs(1, []graph.Arc{{From: 0, To: 0, Weight: 1 << 33, Transit: 1}})
+	req := SolveRequest{Requests: []GraphRequest{
+		{ID: "expand", Graph: graphJSON(t, g), Problem: "ratio", Algorithm: "expand"},
+		{ID: "howard", Graph: graphJSON(t, g), Problem: "ratio"},
+	}}
+	status, body := post(t, ts, req)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, body)
+	}
+	for _, res := range decodeResults(t, body) {
+		switch {
+		case res.ID == "howard" && !res.OK:
+			t.Fatalf("howard: %+v, want solved", res.Error)
+		case res.ID == "expand" && (res.OK || res.Error.Code != CodeWeightRange ||
+			!strings.HasSuffix(res.Error.Message, "ratio: inner howard on expanded graph: "+core.ErrWeightRange.Error())):
+			t.Fatalf("expand: OK %v, error %+v, want %s with the inner message", res.OK, res.Error, CodeWeightRange)
 		}
 	}
 }
