@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race bench bench-kernel bench-kernel-check bench-serve bench-approx bench-approx-smoke bench-session bench-session-smoke bench-ratio-exact bench-ratio-exact-smoke bench-engines bench-engines-smoke coverage-gate fuzz fuzz-smoke repro repro-quick cover clean trace-gate serve-smoke serve-e2e
+.PHONY: all build test test-race bench coverage-gate fuzz fuzz-smoke repro repro-quick cover clean trace-gate serve-smoke serve-e2e
 
 all: build test
 
@@ -18,76 +18,10 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-bench: bench-kernel
+# Every testing.B benchmark. The end-to-end benchmark with medians, layer
+# spans and -compare is its own module: bash benchmark/run.sh.
+bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Kernelization sweep: kernelized vs raw solves on chain-heavy and SPRAND
-# families plus the Session warm-start workload; records BENCH_kernel.json.
-bench-kernel:
-	$(GO) run ./cmd/mcmbench -table kernel -progress -json > BENCH_kernel.json
-	@echo "wrote BENCH_kernel.json"
-
-# Kernelization floor gate (also run by CI): a fresh quick sweep must keep
-# the chain-family and warm-start speedups above the conservative 1.2x floor.
-bench-kernel-check:
-	./scripts/kernel_bench_check.sh
-
-# Streaming approximation-tier sweep: generator-backed solves on graphs up
-# to 4.19M arcs under a measured 64 MiB peak-heap cap, with exact-vs-approx
-# time/memory/error comparison; records BENCH_approx.json. Exit 2 on a
-# violated cap or error bound.
-bench-approx:
-	$(GO) run ./cmd/mcmbench -table approx -progress -json > BENCH_approx.json
-	@echo "wrote BENCH_approx.json"
-
-# CI smoke variant (also run by CI): one 10^6-arc generated graph streamed
-# under the 32 MiB cap with an exact cross-check of the certified bound.
-bench-approx-smoke:
-	$(GO) run ./cmd/mcmbench -table approx -quick -progress
-
-# Incremental-engine sweep: a 2000-node perturbation stream through one
-# DynSession, every answer verified bit-identical to a fresh certified
-# solve; records BENCH_session.json. Exit 2 on a λ* mismatch or a total
-# speedup below the 2x gate.
-bench-session:
-	$(GO) run ./cmd/mcmbench -table session-delta -progress -json > BENCH_session.json
-	@echo "wrote BENCH_session.json"
-
-# CI smoke variant: reduced graph and stream, same correctness oracle.
-bench-session-smoke:
-	$(GO) run ./cmd/mcmbench -table session-delta -quick -progress
-
-# Exact-ratio-mode comparison: every certified exact MCR solver (howard,
-# lawler, dinkelbach, sternbrocot) timed on the same transit-weighted
-# SPRAND instances with ρ* cross-checked bit-identical; records
-# BENCH_ratio.json. Exit 2 on any disagreement.
-bench-ratio-exact:
-	$(GO) run ./cmd/mcmbench -table ratio-exact -progress -json > BENCH_ratio.json
-	@echo "wrote BENCH_ratio.json"
-
-# CI smoke variant: reduced sizes, same bit-identical cross-check.
-bench-ratio-exact-smoke:
-	$(GO) run ./cmd/mcmbench -table ratio-exact -quick -progress
-
-# Post-1999 engine comparison: madani (value iteration) and bhk (tightened
-# bisection) raced against the DAC'99-era roster on shared instances, every
-# certified λ*/ρ* cross-checked bit-identical; records BENCH_engines.json.
-# Exit 2 on any disagreement.
-bench-engines:
-	$(GO) run ./cmd/mcmbench -table engines-2017 -progress -json > BENCH_engines.json
-	@echo "wrote BENCH_engines.json"
-
-# CI smoke variant: reduced sizes, same bit-identical cross-check.
-bench-engines-smoke:
-	$(GO) run ./cmd/mcmbench -table engines-2017 -quick -progress
-
-# Sustained-load serving suite: cache-on vs cache-off throughput on a
-# 90%-repeated workload plus the streaming bounded-memory probe; records
-# BENCH_serve.json, then the process-level smoke asserts a conservative
-# speedup and live /debug/vars hit counters against two real mcmd daemons.
-bench-serve:
-	$(GO) run ./cmd/mcmbench -serve-load -load-duration 5s -load-out BENCH_serve.json
-	./scripts/serve_bench.sh
 
 # Per-package coverage floors (scripts/coverage_floor.txt): fails when any
 # package's statement coverage regresses below its checked-in floor. Raise

@@ -8,16 +8,16 @@
 //	mcmbench -table karp              # E-44: Karp-variant behavior
 //	mcmbench -table ranking           # E-45: overall speed ranking
 //	mcmbench -table circuits          # E-C : benchmark-circuit family
-//	mcmbench -table kernel            # kernelization + warm-start sweep
-//	mcmbench -table approx            # streaming approximation tier under an RSS cap
-//	mcmbench -table session-delta     # incremental delta re-solve vs cold (gate: 2x)
-//	mcmbench -table ratio-exact       # certified exact MCR solvers, ρ* cross-checked bit-identical
-//	mcmbench -table engines-2017      # post-1999 engines (madani, bhk) vs the 1999 roster, cross-checked
+//	mcmbench -table heapkinds         # A-1 : heap ablation inside KO/YTO
+//	mcmbench -table variants          # A-2 : space-variant ablation
+//	mcmbench -table ratio             # E-R : cost-to-time ratio solvers
 //	mcmbench -table all               # everything from one sweep
 //
-// -cpuprofile/-memprofile write pprof profiles of any sweep, so wins (e.g.
-// kernelization) are attributable to specific hot paths; see
-// docs/ALGORITHMS.md for the workflow.
+// An unknown -table name exits 2 with the list above, before any sweep.
+//
+// -cpuprofile/-memprofile write pprof profiles of any sweep, so wins are
+// attributable to specific hot paths; see docs/ALGORITHMS.md for the
+// workflow.
 //
 // The full Table 2 grid (n up to 8192, 10 seeds) takes tens of minutes;
 // -quick runs a reduced grid (n up to 2048, 3 seeds) in a couple of
@@ -26,6 +26,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -43,70 +44,54 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is mcmbench with its arguments and output streams made explicit; it
+// returns the process exit code: 0 on success, 1 on a failed sweep, 2 on a
+// bad flag, an unknown table or a -verify mismatch.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("mcmbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table      = flag.String("table", "table2", "which table to regenerate: table2, mcm, heapops, iters, karp, ranking, circuits, heapkinds, variants, ratio, ratio-exact, engines-2017, kernel, approx, session-delta, all")
-		quick      = flag.Bool("quick", false, "reduced grid (n <= 2048) and 3 seeds")
-		seeds      = flag.Int("seeds", 0, "instances per size (default 10, or 3 with -quick)")
-		maxN       = flag.Int("maxn", 0, "limit the grid to sizes with n <= maxn")
-		algos      = flag.String("algos", "", "comma-separated algorithm subset (default: the paper's Table 2 columns)")
-		timeout    = flag.Duration("timeout", 60*time.Second, "per-instance budget; larger n are N/A once exceeded")
-		memLimit   = flag.Int64("memlimit", 256<<20, "D-table memory budget in bytes for Karp/DG/HO (paper machine: 64 MB)")
-		verify     = flag.Bool("verify", false, "cross-check all algorithms agree exactly on every instance")
-		progress   = flag.Bool("progress", false, "print one line per completed run to stderr")
-		jsonOut    = flag.Bool("json", false, "emit the sweep as JSON instead of a table")
-		parallel   = flag.Int("parallel", 1, "seed instances solved concurrently per size (negative = NumCPU); results are aggregated deterministically, but per-run timings contend for cores")
-		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-		memprofile = flag.String("memprofile", "", "write a pprof heap profile (post-sweep) to this file")
-		serve      = flag.String("serve", "", "serve live metrics (/debug/vars) and profiling (/debug/pprof/) on this address, e.g. :8080, while the sweep runs; keeps serving after the sweep completes until interrupted")
-
-		serveLoad   = flag.Bool("serve-load", false, "run the sustained-load serving suite (cache on/off throughput + streaming memory probe) and emit BENCH_serve.json-shaped JSON")
-		loadAddr    = flag.String("load-addr", "", "with -serve-load: target an already-running mcmd at host:port instead of self-hosting")
-		loadConc    = flag.Int("load-concurrency", 8, "with -serve-load: concurrent client workers")
-		loadDur     = flag.Duration("load-duration", 3*time.Second, "with -serve-load: measured wall clock per scenario")
-		loadHit     = flag.Float64("load-hit-ratio", 0.9, "with -serve-load: fraction of graphs drawn from the repeated hot pool")
-		loadBatch   = flag.Int("load-batch", 8, "with -serve-load: graphs per request")
-		loadN       = flag.Int("load-n", 0, "with -serve-load: nodes per generated graph (default 384)")
-		loadAlgo    = flag.String("load-algo", "", "with -serve-load: solver the load mix requests (default lawler; howard's warm-start would mask the cache)")
-		loadOut     = flag.String("load-out", "", "with -serve-load: write the JSON report to this file instead of stdout")
-		loadNoProbe = flag.Bool("load-no-stream-probe", false, "with -serve-load: skip the streaming memory probe")
-
-		approxEps = flag.Float64("approx-epsilon", 0, "with -table approx: tolerance (default 0.02)")
-		rssCap    = flag.Uint64("rss-cap", 0, "with -table approx: peak-heap cap in bytes (default 64 MiB, 32 MiB with -quick); violations exit 2")
-
-		checkKernel    = flag.String("check-kernel", "", `assert the conservative kernel-speedup floors over a BENCH_kernel.json file ("-" = stdin), then exit (2 on violation)`)
-		minKernSpeedup = flag.Float64("min-kernel-speedup", 1.2, "with -check-kernel: the speedup floor")
+		table      = fs.String("table", "table2", "which table to regenerate: "+strings.Join(bench.Tables, ", "))
+		quick      = fs.Bool("quick", false, "reduced grid (n <= 2048) and 3 seeds")
+		seeds      = fs.Int("seeds", 0, "instances per size (default 10, or 3 with -quick)")
+		maxN       = fs.Int("maxn", 0, "limit the grid to sizes with n <= maxn")
+		algos      = fs.String("algos", "", "comma-separated algorithm subset (default: the paper's Table 2 columns)")
+		timeout    = fs.Duration("timeout", 60*time.Second, "per-instance budget; larger n are N/A once exceeded")
+		memLimit   = fs.Int64("memlimit", 256<<20, "D-table memory budget in bytes for Karp/DG/HO (paper machine: 64 MB)")
+		verify     = fs.Bool("verify", false, "cross-check all algorithms agree exactly on every instance")
+		progress   = fs.Bool("progress", false, "print one line per completed run to stderr")
+		jsonOut    = fs.Bool("json", false, "emit the sweep as JSON instead of a table")
+		parallel   = fs.Int("parallel", 1, "seed instances solved concurrently per size (negative = NumCPU); results are aggregated deterministically, but per-run timings contend for cores")
+		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+		memprofile = fs.String("memprofile", "", "write a pprof heap profile (post-sweep) to this file")
+		serve      = fs.String("serve", "", "serve live metrics (/debug/vars) and profiling (/debug/pprof/) on this address, e.g. :8080, while the sweep runs; keeps serving after the sweep completes until interrupted")
 	)
-	flag.Parse()
-
-	if *checkKernel != "" {
-		runCheckKernel(*checkKernel, *minKernSpeedup)
-		return
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-
-	if *serveLoad {
-		runServeLoad(bench.ServeLoadConfig{
-			Addr:            *loadAddr,
-			Concurrency:     *loadConc,
-			Duration:        *loadDur,
-			HitRatio:        *loadHit,
-			BatchSize:       *loadBatch,
-			N:               *loadN,
-			Algorithm:       *loadAlgo,
-			SkipStreamProbe: *loadNoProbe || *loadAddr != "",
-		}, *loadOut)
-		return
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mcmbench:", err)
+		return 1
+	}
+	if err := bench.CheckTable(*table); err != nil {
+		fmt.Fprintln(stderr, "mcmbench:", err)
+		return 2
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -114,13 +99,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "mcmbench:", err)
+				fmt.Fprintln(stderr, "mcmbench:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // materialize the live-heap picture
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "mcmbench:", err)
+				fmt.Fprintln(stderr, "mcmbench:", err)
 			}
 		}()
 	}
@@ -143,17 +128,19 @@ func main() {
 		cfg.Tracer = agg.Tracer()
 		ln, err := net.Listen("tcp", *serve)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		go func() {
 			if err := http.Serve(ln, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "mcmbench: serve:", err)
+				fmt.Fprintln(stderr, "mcmbench: serve:", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "mcmbench: serving /debug/vars and /debug/pprof/ on http://%s\n", ln.Addr())
+		fmt.Fprintf(stderr, "mcmbench: serving /debug/vars and /debug/pprof/ on http://%s\n", ln.Addr())
 		defer func() {
-			fmt.Fprintln(os.Stderr, "mcmbench: sweep complete; still serving (interrupt to exit)")
+			if code != 0 {
+				return
+			}
+			fmt.Fprintln(stderr, "mcmbench: sweep complete; still serving (interrupt to exit)")
 			select {}
 		}()
 	}
@@ -172,264 +159,67 @@ func main() {
 		cfg.Sizes = limitSizes(*maxN)
 	}
 	if *progress {
-		cfg.Progress = os.Stderr
+		cfg.Progress = stderr
 	}
 
 	switch *table {
 	case "circuits":
 		cases, err := bench.RunCircuits(cfg.Algorithms, cfg.Seeds)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		bench.WriteCircuits(os.Stdout, cases, cfg.Algorithms)
-		return
+		bench.WriteCircuits(stdout, cases, cfg.Algorithms)
+		return 0
 	case "heapkinds":
 		rows, err := bench.RunHeapKinds(cfg.Sizes, cfg.Seeds)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		bench.WriteHeapKinds(os.Stdout, rows)
-		return
+		bench.WriteHeapKinds(stdout, rows)
+		return 0
 	case "variants":
 		rows, err := bench.RunVariants(cfg.Sizes, cfg.Seeds)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		bench.WriteVariants(os.Stdout, rows)
-		return
+		bench.WriteVariants(stdout, rows)
+		return 0
 	case "ratio":
 		rows, err := bench.RunRatioTable(cfg.Sizes, cfg.Seeds, 4)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		bench.WriteRatioTable(os.Stdout, rows)
-		return
-	case "kernel":
-		kcfg := bench.KernelConfig{Seeds: cfg.Seeds}
-		if *algos != "" {
-			kcfg.Algorithm = strings.Split(*algos, ",")[0]
-		}
-		if *progress {
-			kcfg.Progress = os.Stderr
-		}
-		rep, err := bench.RunKernelSweep(kcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			data, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mcmbench:", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-			return
-		}
-		bench.WriteKernel(os.Stdout, rep)
-		return
-	case "session-delta":
-		scfg := bench.SessionConfig{Smoke: *quick}
-		if *progress {
-			scfg.Progress = os.Stderr
-		}
-		rep, err := bench.RunSessionDeltaSweep(scfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			data, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mcmbench:", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-		} else {
-			bench.WriteSessionDelta(os.Stdout, rep)
-		}
-		for _, v := range rep.Violations {
-			fmt.Fprintln(os.Stderr, "mcmbench: VIOLATION:", v)
-		}
-		if len(rep.Violations) > 0 {
-			os.Exit(2)
-		}
-		return
-	case "engines-2017":
-		ecfg := bench.EnginesConfig{Smoke: *quick, Seeds: *seeds}
-		if *progress {
-			ecfg.Progress = os.Stderr
-		}
-		rep, err := bench.RunEnginesSweep(ecfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			data, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mcmbench:", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-		} else {
-			bench.WriteEngines(os.Stdout, rep)
-		}
-		for _, v := range rep.Violations {
-			fmt.Fprintln(os.Stderr, "mcmbench: VIOLATION:", v)
-		}
-		if len(rep.Violations) > 0 {
-			os.Exit(2)
-		}
-		return
-	case "ratio-exact":
-		rcfg := bench.RatioExactConfig{Smoke: *quick, Seeds: *seeds}
-		if *progress {
-			rcfg.Progress = os.Stderr
-		}
-		rep, err := bench.RunRatioExactSweep(rcfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			data, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mcmbench:", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-		} else {
-			bench.WriteRatioExact(os.Stdout, rep)
-		}
-		for _, v := range rep.Violations {
-			fmt.Fprintln(os.Stderr, "mcmbench: VIOLATION:", v)
-		}
-		if len(rep.Violations) > 0 {
-			os.Exit(2)
-		}
-		return
-	case "approx":
-		acfg := bench.ApproxConfig{Smoke: *quick, Epsilon: *approxEps, RSSCapBytes: *rssCap}
-		if *progress {
-			acfg.Progress = os.Stderr
-		}
-		rep, err := bench.RunApproxSweep(acfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
-		}
-		if *jsonOut {
-			data, err := rep.JSON()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mcmbench:", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-		} else {
-			bench.WriteApprox(os.Stdout, rep)
-		}
-		for _, v := range rep.Violations {
-			fmt.Fprintln(os.Stderr, "mcmbench: VIOLATION:", v)
-		}
-		if len(rep.Violations) > 0 {
-			os.Exit(2)
-		}
-		return
+		bench.WriteRatioTable(stdout, rows)
+		return 0
 	}
 
 	rep, err := bench.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcmbench:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	if *jsonOut {
 		data, err := rep.JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		os.Stdout.Write(data)
-		fmt.Println()
-		if *verify && len(rep.Mismatches) > 0 {
-			os.Exit(2)
+		stdout.Write(data)
+		fmt.Fprintln(stdout)
+	} else {
+		if err := rep.WriteAll(stdout, *table); err != nil {
+			return fail(err)
 		}
-		return
-	}
-	if err := rep.WriteAll(os.Stdout, *table); err != nil {
-		fmt.Fprintln(os.Stderr, "mcmbench:", err)
-		os.Exit(1)
-	}
-	if *table == "all" {
-		cases, err := bench.RunCircuits(cfg.Algorithms, cfg.Seeds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcmbench:", err)
-			os.Exit(1)
+		if *table == "all" {
+			cases, err := bench.RunCircuits(cfg.Algorithms, cfg.Seeds)
+			if err != nil {
+				return fail(err)
+			}
+			bench.WriteCircuits(stdout, cases, cfg.Algorithms)
 		}
-		bench.WriteCircuits(os.Stdout, cases, cfg.Algorithms)
 	}
 	if *verify && len(rep.Mismatches) > 0 {
-		os.Exit(2)
+		return 2
 	}
-}
-
-// runCheckKernel asserts the conservative kernel-speedup floors over a
-// recorded (or freshly piped) BENCH_kernel.json.
-func runCheckKernel(path string, minSpeedup float64) {
-	var data []byte
-	var err error
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcmbench:", err)
-		os.Exit(1)
-	}
-	if err := bench.CheckKernel(data, minSpeedup); err != nil {
-		fmt.Fprintln(os.Stderr, "mcmbench:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("kernel bench floors hold (speedup >= %.2fx)\n", minSpeedup)
-}
-
-// runServeLoad runs the sustained-load serving suite and writes the report.
-func runServeLoad(cfg bench.ServeLoadConfig, outPath string) {
-	rep, err := bench.RunServeLoad(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcmbench:", err)
-		os.Exit(1)
-	}
-	data, err := rep.JSON()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mcmbench:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if outPath == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(outPath, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "mcmbench:", err)
-		os.Exit(1)
-	}
-	for _, sc := range rep.Scenarios {
-		fmt.Fprintf(os.Stderr, "mcmbench: %-10s %8.0f graphs/s (%d requests, %d errors)\n", sc.Name, sc.GraphsSec, sc.Requests, sc.Errors)
-	}
-	if rep.Speedup > 0 {
-		fmt.Fprintf(os.Stderr, "mcmbench: cache speedup %.2fx; report written to %s\n", rep.Speedup, outPath)
-	}
+	return 0
 }
 
 func limitSizes(maxN int) [][2]int {

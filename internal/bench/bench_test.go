@@ -78,6 +78,9 @@ func TestRunSweepAndRenderAll(t *testing.T) {
 	if err := rep.WriteAll(&buf, "bogus"); err == nil {
 		t.Error("unknown table accepted")
 	}
+	if err := rep.WriteAll(&buf, "circuits"); err == nil {
+		t.Error("circuits rendered as a view of the SPRAND sweep")
+	}
 }
 
 func TestRunParallelSeedsDeterministic(t *testing.T) {
@@ -208,5 +211,23 @@ func TestReportJSON(t *testing.T) {
 	cells, ok := decoded["cells"].([]any)
 	if !ok || len(cells) != 2*len(Table2Algorithms) {
 		t.Fatalf("cells = %v", decoded["cells"])
+	}
+}
+
+// TestWriteAllWithoutKarp2 renders every view of a sweep that ran only
+// Karp and DG; the E-44 view used to dereference the missing Karp2 cell.
+func TestWriteAllWithoutKarp2(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Algorithms = []string{"karp", "dg"}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.WriteAll(&buf, "all"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "E-44") {
+		t.Errorf("output missing E-44:\n%s", buf.String())
 	}
 }

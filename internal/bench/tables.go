@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -116,7 +117,6 @@ func (r *Report) WriteKarpVariants(w io.Writer) {
 	for i, size := range r.Sizes {
 		karp, okK := r.Cells[i]["karp"]
 		dg, okD := r.Cells[i]["dg"]
-		karp2, okK2 := r.Cells[i]["karp2"]
 		if !okK || !okD || karp.Skipped || dg.Skipped {
 			continue
 		}
@@ -124,13 +124,17 @@ func (r *Report) WriteKarpVariants(w io.Writer) {
 		if karp.Counts.ArcsVisited > 0 {
 			saved = 1 - float64(dg.Counts.ArcsVisited)/float64(karp.Counts.ArcsVisited)
 		}
-		ratio := 0.0
-		if okK2 && !karp2.Skipped && karp.Seconds > 0 {
-			ratio = karp2.Seconds / karp.Seconds
+		// karp2 is optional: a sweep run without it prints 0 in its columns.
+		karp2Sec, ratio := 0.0, 0.0
+		if karp2, ok := r.Cells[i]["karp2"]; ok && !karp2.Skipped {
+			karp2Sec = karp2.Seconds
+			if karp.Seconds > 0 {
+				ratio = karp2Sec / karp.Seconds
+			}
 		}
 		fmt.Fprintf(w, "%6d %7d | %12d %12d %8.1f%% | %10.4f %10.4f %7.2f\n",
 			size[0], size[1], karp.Counts.ArcsVisited, dg.Counts.ArcsVisited, 100*saved,
-			karp.Seconds, karp2.Seconds, ratio)
+			karp.Seconds, karp2Sec, ratio)
 	}
 }
 
@@ -205,6 +209,22 @@ func WriteCircuits(w io.Writer, cases []CircuitCase, algorithms []string) {
 	}
 }
 
+// Tables lists every table cmd/mcmbench regenerates: the six views of one
+// SPRAND sweep, the circuit family, the three ablations, and "all".
+var Tables = []string{
+	"table2", "mcm", "heapops", "iters", "karp", "ranking",
+	"circuits", "heapkinds", "variants", "ratio", "all",
+}
+
+// CheckTable returns an error naming every entry of Tables unless name is
+// one of them.
+func CheckTable(name string) error {
+	if slices.Contains(Tables, name) {
+		return nil
+	}
+	return fmt.Errorf("bench: unknown table %q (known: %s)", name, strings.Join(Tables, ", "))
+}
+
 // WriteAll renders every experiment view in order, separated by blank
 // lines; the table argument selects one ("table2", "mcm", "heapops",
 // "iters", "karp", "ranking", or "all").
@@ -226,12 +246,10 @@ func (r *Report) WriteAll(w io.Writer, table string) error {
 	}
 	view, ok := views[table]
 	if !ok {
-		keys := make([]string, 0, len(views))
-		for k := range views {
-			keys = append(keys, k)
+		if err := CheckTable(table); err != nil {
+			return err
 		}
-		sort.Strings(keys)
-		return fmt.Errorf("bench: unknown table %q (known: %s, circuits, all)", table, strings.Join(keys, ", "))
+		return fmt.Errorf("bench: table %q is not a view of the SPRAND sweep", table)
 	}
 	view(w)
 	return nil

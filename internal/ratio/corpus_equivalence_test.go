@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/numeric"
 	"repro/internal/ratio"
 	"repro/internal/testutil"
@@ -91,5 +93,61 @@ func TestIntegerOnlyCertificates(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExactRosterEquivalence solves SPRAND graphs (n = 64 and 128, m = 4n,
+// w ∈ [−5000, 10000], two seeds each) with the certified exact engines of
+// both problems: howard, karp and madani for the mean of the graph as
+// drawn, and howard, lawler, dinkelbach, sternbrocot and bhk for the ratio
+// of its twin with transit times in [1, 8]. Every result must be exact and
+// certified, and each roster must agree bit for bit. No corpus roster
+// includes dinkelbach, so at these sizes this is its only bit-identity gate.
+func TestExactRosterEquivalence(t *testing.T) {
+	for _, size := range [][2]int{{64, 256}, {128, 512}} {
+		for seed := uint64(0); seed < 2; seed++ {
+			g, err := gen.Sprand(gen.SprandConfig{N: size[0], M: size[1], MinWeight: -5000, MaxWeight: 10000, Seed: seed + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			arcs := append([]graph.Arc(nil), g.Arcs()...)
+			state := seed*0x9e3779b97f4a7c15 + 7
+			for i := range arcs {
+				state = state*6364136223846793005 + 1442695040888963407
+				arcs[i].Transit = 1 + int64((state>>33)%8)
+			}
+			tg := graph.FromArcs(g.NumNodes(), arcs)
+
+			var ref numeric.Rat
+			check := func(tag string, i int, value numeric.Rat, exact bool, cert *core.Certificate) {
+				t.Helper()
+				switch {
+				case !exact || cert == nil:
+					t.Errorf("n=%d seed=%d: %s returned an uncertified or inexact result", size[0], seed, tag)
+				case i == 0:
+					ref = value
+				case value.Num() != ref.Num() || value.Den() != ref.Den():
+					t.Errorf("n=%d seed=%d: %s says %v, the roster's first engine %v", size[0], seed, tag, value, ref)
+				}
+			}
+			for i, name := range []string{"howard", "karp", "madani"} {
+				algo, err := core.ByName(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := core.MinimumCycleMean(g, algo, core.Options{Certify: true})
+				if err != nil {
+					t.Fatalf("n=%d seed=%d: mean/%s: %v", size[0], seed, name, err)
+				}
+				check("mean/"+name, i, res.Mean, res.Exact, res.Certificate)
+			}
+			for i, name := range []string{"howard", "lawler", "dinkelbach", "sternbrocot", "bhk"} {
+				res, err := ratio.MinimumCycleRatio(tg, mustByName(t, name), core.Options{Certify: true})
+				if err != nil {
+					t.Fatalf("n=%d seed=%d: ratio/%s: %v", size[0], seed, name, err)
+				}
+				check("ratio/"+name, i, res.Ratio, res.Exact, res.Certificate)
+			}
+		}
 	}
 }

@@ -357,4 +357,20 @@ func TestNoCacheDisablesEverything(t *testing.T) {
 	if _, enabled := s.CacheStats(); enabled {
 		t.Fatal("CacheStats claims a cache exists under NoCache")
 	}
+	resp, err := ts.Client().Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vars map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if _, ok := vars["cache"]; ok {
+		t.Fatalf("/debug/vars has a cache branch under NoCache: %v", vars["cache"])
+	}
+	solver, _ := vars["solver"].(map[string]any)
+	if hits, _ := solver["serve_cache_hits"].(float64); hits != 0 {
+		t.Fatalf("solver serve_cache_hits %v under NoCache, want 0", hits)
+	}
 }

@@ -2,9 +2,10 @@
 # load_smoke.sh — CI end-to-end load smoke for the mcmd batch solve daemon:
 # build it, boot it on a private port, fire concurrent mixed batches (means,
 # ratios, a certified solve, and one doomed 1ms deadline), assert the
-# /debug/vars counters line up with what was sent, then deliver SIGTERM and
-# require a clean drain (exit 0). Fails on any hang, miscount, or non-200
-# where a 200 was owed. docs/SERVING.md documents the workflow.
+# /debug/vars counters line up with what was sent, check one streamed
+# (NDJSON) batch, then deliver SIGTERM and require a clean drain (exit 0).
+# Fails on any hang, miscount, or non-200 where a 200 was owed.
+# docs/SERVING.md documents the workflow.
 set -eu
 
 ADDR="${LOAD_SMOKE_ADDR:-127.0.0.1:18574}"
@@ -81,6 +82,17 @@ curl -fs -o /dev/null "http://$ADDR/debug/pprof/" || {
     exit 1
 }
 
+# The streaming variant answers NDJSON: one line per graph, then a trailer
+# carrying "done":true.
+STREAM=$(curl -fs -X POST "http://$ADDR/v1/solve?stream=1" \
+    -d '{"requests":[{"text":"p mcm 2 2\na 1 2 3\na 2 1 5\n"},{"text":"p mcm 1 1\na 1 1 7\n"}]}')
+LINES=$(printf '%s\n' "$STREAM" | grep -c '^{') || LINES=0
+[ "$LINES" -eq 3 ] || { echo "load_smoke: FAIL — streaming answered $LINES lines, want 2 results + trailer" >&2; printf '%s\n' "$STREAM" >&2; exit 1; }
+printf '%s' "$STREAM" | grep -q '"done":true' || {
+    echo "load_smoke: FAIL — streaming response missing the trailer" >&2
+    exit 1
+}
+
 # SIGTERM must drain clean: process exits 0 and the port closes.
 kill -TERM "$PID"
 if ! wait "$PID"; then
@@ -93,4 +105,4 @@ if curl -fs --max-time 2 "http://$ADDR/healthz" >/dev/null 2>&1; then
     exit 1
 fi
 
-echo "load_smoke: OK — $REQUESTS requests, $GRAPHS_OK/$GRAPHS graphs solved, $RUNS solver runs, clean drain"
+echo "load_smoke: OK — $REQUESTS requests, $GRAPHS_OK/$GRAPHS graphs solved, $RUNS solver runs, streamed batch, clean drain"
