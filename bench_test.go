@@ -206,7 +206,7 @@ func BenchmarkRatioAlgorithms(b *testing.B) {
 		arcs[i] = a
 	}
 	g := graph.FromArcs(base.NumNodes(), arcs)
-	for _, name := range []string{"howard", "burns", "lawler"} {
+	for _, name := range []string{"howard", "burns", "lawler", "ko", "yto"} {
 		b.Run(name, func(b *testing.B) {
 			algo, err := ratio.ByName(name)
 			if err != nil {
