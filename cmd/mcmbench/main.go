@@ -13,7 +13,9 @@
 //	mcmbench -table ratio             # E-R : cost-to-time ratio solvers
 //	mcmbench -table all               # everything from one sweep
 //
-// An unknown -table name exits 2 with the list above, before any sweep.
+// An unknown -table name exits 2 with the list above, before any sweep, and
+// so does -json with circuits, heapkinds, variants or ratio, which print
+// text only.
 //
 // -cpuprofile/-memprofile write pprof profiles of any sweep, so wins are
 // attributable to specific hot paths; see docs/ALGORITHMS.md for the
@@ -36,6 +38,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -81,6 +84,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if err := bench.CheckTable(*table); err != nil {
 		fmt.Fprintln(stderr, "mcmbench:", err)
+		return 2
+	}
+	if *jsonOut && slices.Contains(textTables, *table) {
+		fmt.Fprintf(stderr, "mcmbench: -json: table %q has no JSON form (text only: %s)\n", *table, strings.Join(textTables, ", "))
 		return 2
 	}
 
@@ -221,6 +228,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	return 0
 }
+
+// textTables are the tables printed from runs of their own rather than from
+// the sweep's report; they have no JSON form, so -json rejects them.
+var textTables = []string{"circuits", "heapkinds", "variants", "ratio"}
 
 func limitSizes(maxN int) [][2]int {
 	var out [][2]int

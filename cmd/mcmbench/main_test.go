@@ -59,3 +59,22 @@ func TestRunHeapOps(t *testing.T) {
 		t.Fatalf("heapops table missing its E-42 header:\n%s", stdout.String())
 	}
 }
+
+// TestJSONRejectedForTextTables checks that -json with a table printed from
+// its own run, not from the sweep's report, exits 2 before any work and
+// names the table, instead of printing the text table and ignoring -json.
+func TestJSONRejectedForTextTables(t *testing.T) {
+	for _, name := range []string{"circuits", "heapkinds", "variants", "ratio"} {
+		args := []string{"-table", name, "-json", "-maxn", "512", "-seeds", "1", "-algos", "howard"}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: wrote %d bytes to stdout, want none:\n%s", args, stdout.Len(), stdout.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, `"`+name+`"`) || !strings.Contains(msg, "-json") {
+			t.Errorf("%v: stderr %q does not name -json and the table", args, msg)
+		}
+	}
+}

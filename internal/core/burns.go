@@ -111,7 +111,7 @@ func (burnsAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 		if len(order) < n {
 			// The critical subgraph is cyclic: extract a critical cycle and
 			// certify it exactly.
-			cycle, ok := criticalCycleFrom(g, critical, order, n)
+			cycle, ok := CriticalCycleFrom(g, critical, order)
 			if !ok {
 				// Kahn's invariant guarantees a critical predecessor for
 				// every unremoved node, so extraction can only fail through
@@ -166,14 +166,16 @@ func (burnsAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 	return Result{}, ErrIterationLimit
 }
 
-// criticalCycleFrom extracts a cycle among the critical arcs, given the
+// CriticalCycleFrom extracts a cycle among the critical arcs, given the
 // (incomplete) Kahn order: nodes not in the order lie on or downstream of a
 // cycle; following critical arcs among them must revisit a node. The false
 // return (no remaining critical predecessor for some node) is impossible
 // under Kahn's invariant — every unremoved node kept a positive critical
 // in-degree from unremoved nodes — and is reported instead of panicking so
-// the solver can recover from any float-drift inconsistency.
-func criticalCycleFrom(g *graph.Graph, critical []bool, order []graph.NodeID, n int) ([]graph.ArcID, bool) {
+// the solver can recover from any float-drift inconsistency. It is Burns'
+// one critical-cycle walk, for means here and for ratios in internal/ratio.
+func CriticalCycleFrom(g *graph.Graph, critical []bool, order []graph.NodeID) ([]graph.ArcID, bool) {
+	n := g.NumNodes()
 	inOrder := make([]bool, n)
 	for _, v := range order {
 		inOrder[v] = true

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/counter"
 	"repro/internal/graph"
 	"repro/internal/numeric"
@@ -12,21 +14,24 @@ func init() {
 	register("yto", func() Algorithm { return ytoAlg{} })
 }
 
-// Frac is the exact breakpoint key λ = Num/Den (Den > 0) used by the
+// frac is the exact breakpoint key λ = num/den (den > 0) used by the
 // parametric heaps; comparisons go through 128-bit cross multiplication so
 // no breakpoint is ever misordered by rounding.
-type Frac struct {
-	Num, Den int64
+type frac struct {
+	num, den int64
 }
 
-func fracLess(a, b Frac) bool { return numeric.CmpFrac(a.Num, a.Den, b.Num, b.Den) < 0 }
+func fracLess(a, b frac) bool { return numeric.CmpFrac(a.num, a.den, b.num, b.den) < 0 }
 
-// paramTree is the shortest-path-tree state shared by KO and YTO. The tree
-// is rooted at node 0; for every node, a(v) and b(v) are the weight and arc
-// count of its tree path, so its distance in G_λ is a(v) − λ·b(v). The
-// minimum cycle mean is the first λ at which a pivot closes a cycle.
+// paramTree is the shortest-path-tree state shared by KO and YTO, for means
+// and ratios alike. The tree is rooted at node 0; for every node, a(v) and
+// b(v) are the weight and the transit of its tree path, transit read
+// through the solve's view (unit: every arc counts 1, so b is the arc
+// count), so its distance in G_λ is a(v) − λ·b(v). The optimum is the first
+// λ at which a pivot closes a cycle.
 type paramTree struct {
 	g       *graph.Graph
+	unit    bool
 	a       []int64
 	b       []int64
 	treeArc []graph.ArcID // arc whose head is v; -1 at the root
@@ -38,6 +43,7 @@ type paramTree struct {
 	subtree []graph.NodeID
 }
 
+// newParamTree returns an empty tree on g; build makes it the initial tree.
 func newParamTree(g *graph.Graph) *paramTree {
 	n := g.NumNodes()
 	t := &paramTree{
@@ -59,12 +65,36 @@ func newParamTree(g *graph.Graph) *paramTree {
 	return t
 }
 
-// initShortestTree builds the shortest path tree at λ0 = w_min − 1 (all
-// reduced weights positive) with a lexicographic Dijkstra: primary key the
-// reduced path weight, secondary key the negated arc count, because for λ
-// slightly above λ0 the longer of two equal-weight paths is the shorter one
-// in G_λ. Runs in O(m log n); all arithmetic exact.
-func (t *paramTree) initShortestTree(lambda0 int64) {
+// build makes t, under the transit view unit, the shortest path tree of
+// G_λ0 for a λ0 below every cycle value. The initial tree is the one thing
+// the two views cannot share. A mean solve starts at λ0 = w_min − 1, where
+// every reduced weight w − λ0 is positive, so a lexicographic Dijkstra
+// suffices. A ratio solve can have zero-transit arcs, whose reduced weight w
+// stays negative at any λ0, so it starts at λ0 = −(n·|w|max + 1) with a
+// lexicographic Bellman–Ford, and reports ErrNumericRange when the exact
+// path costs at that λ0 could overflow int64. newParamTree stays apart so
+// that it inlines and the tree itself needs no heap allocation.
+func (t *paramTree) build(unit bool) error {
+	t.unit = unit
+	if unit {
+		minW, _ := t.g.WeightRange()
+		t.dijkstraTree(minW - 1)
+		return nil
+	}
+	lambda0, err := ratioLambda0(t.g)
+	if err != nil {
+		return err
+	}
+	t.bellmanFordTree(lambda0)
+	return nil
+}
+
+// dijkstraTree builds the mean view's shortest path tree at λ0 (all
+// reduced weights positive) with a lexicographic Dijkstra: primary key
+// the reduced path weight, secondary key the negated arc count, because for
+// λ slightly above λ0 the longer of two equal-weight paths is the shorter
+// one in G_λ. Runs in O(m log n); all arithmetic exact.
+func (t *paramTree) dijkstraTree(lambda0 int64) {
 	g := t.g
 	n := g.NumNodes()
 	type key struct {
@@ -105,13 +135,7 @@ func (t *paramTree) initShortestTree(lambda0 int64) {
 			h.Insert(nd, int32(arc.To)) // lazy: duplicates skipped via done[]
 		}
 	}
-	// Fill a, b and children lists from the tree arcs.
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		if t.treeArc[v] < 0 {
-			continue
-		}
-		t.linkChild(v)
-	}
+	t.linkChildren()
 	// Compute a, b top-down (BFS from root over children lists).
 	order := make([]graph.NodeID, 0, n)
 	order = append(order, 0)
@@ -123,6 +147,79 @@ func (t *paramTree) initShortestTree(lambda0 int64) {
 			t.a[v] = t.a[u] + arc.Weight
 			t.b[v] = t.b[u] + 1
 			order = append(order, v)
+		}
+	}
+}
+
+// bellmanFordTree builds the ratio view's shortest path tree at the
+// integer λ0 with a lexicographic Bellman–Ford: cost a − λ0·b
+// exactly, ties broken toward larger transit, which is the shorter path for
+// λ slightly above λ0.
+func (t *paramTree) bellmanFordTree(lambda0 int64) {
+	g := t.g
+	n := g.NumNodes()
+	const unreach = int64(1) << 62
+	cost := make([]int64, n)
+	for i := range cost {
+		cost[i] = unreach
+	}
+	cost[0] = 0
+	for pass := 0; pass < n; pass++ {
+		changed := false
+		for id := graph.ArcID(0); int(id) < g.NumArcs(); id++ {
+			arc := g.Arc(id)
+			if cost[arc.From] >= unreach {
+				continue
+			}
+			nc := cost[arc.From] + arc.Weight - lambda0*arc.Transit
+			nb := t.b[arc.From] + arc.Transit
+			if nc < cost[arc.To] || (nc == cost[arc.To] && nb > t.b[arc.To]) {
+				cost[arc.To] = nc
+				t.a[arc.To] = t.a[arc.From] + arc.Weight
+				t.b[arc.To] = nb
+				t.treeArc[arc.To] = id
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	t.linkChildren()
+}
+
+// ratioLambda0 returns an integer strictly below every cycle ratio of g,
+// −(n·|w|max + 1), since |ρ(C)| = |w(C)|/t(C) ≤ n·|w|max. It reports
+// ErrNumericRange when the ratio tree's exact int64 path costs, which reach
+// n·(|w|max + |λ0|·tmax), could overflow there; the estimate runs in float64
+// because it only needs to be conservative.
+func ratioLambda0(g *graph.Graph) (int64, error) {
+	minW, maxW := g.WeightRange()
+	absW := max(maxW, -minW)
+	_, maxT := g.TransitRange()
+	n := float64(g.NumNodes())
+	lam := n*float64(max(absW, 1)) + 1
+	if n*(float64(max(absW, 1))+lam*float64(max(maxT, 1))) >= 1<<61 {
+		return 0, fmt.Errorf("%w: parametric path costs at λ0 = −(n·|w|max + 1)", ErrNumericRange)
+	}
+	return -(int64(g.NumNodes())*absW + 1), nil
+}
+
+// parametricMaxIter is the default pivot budget of a parametric solve: n²+16
+// for a mean solve, plus the total transit for a ratio solve.
+func parametricMaxIter(g *graph.Graph, opt Options, unit bool) int {
+	n := g.NumNodes()
+	if unit {
+		return opt.maxIter(n*n + 16)
+	}
+	return opt.maxIter(n*n + int(g.TotalTransit()) + 16)
+}
+
+// linkChildren links every non-root node into its parent's child list.
+func (t *paramTree) linkChildren() {
+	for v := graph.NodeID(0); int(v) < len(t.treeArc); v++ {
+		if t.treeArc[v] >= 0 {
+			t.linkChild(v)
 		}
 	}
 }
@@ -176,13 +273,23 @@ func (t *paramTree) releaseSubtree() {
 // breakpoint returns the λ at which non-tree arc id becomes tight, as a
 // fraction, and whether it is a forward breakpoint (positive denominator;
 // arcs with non-positive denominator never become binding as λ increases).
-func (t *paramTree) breakpoint(id graph.ArcID) (Frac, bool) {
+func (t *paramTree) breakpoint(id graph.ArcID) (frac, bool) {
 	arc := t.g.Arc(id)
-	den := t.b[arc.From] + 1 - t.b[arc.To]
+	den := t.b[arc.From] + transit(arc, t.unit) - t.b[arc.To]
 	if den <= 0 {
-		return Frac{}, false
+		return frac{}, false
 	}
-	return Frac{Num: t.a[arc.From] + arc.Weight - t.a[arc.To], Den: den}, true
+	return frac{num: t.a[arc.From] + arc.Weight - t.a[arc.To], den: den}, true
+}
+
+// closes reports whether pivoting arc e = (u, v) into the tree would close
+// a cycle, that is whether u lies in the subtree of v.
+func (t *paramTree) closes(e graph.ArcID) bool {
+	arc := t.g.Arc(e)
+	t.collectSubtree(arc.To)
+	closes := t.inSub[arc.From]
+	t.releaseSubtree()
+	return closes
 }
 
 // pivot re-parents v through arc e = (u, v), updating a and b for the whole
@@ -192,7 +299,7 @@ func (t *paramTree) pivot(e graph.ArcID) []graph.NodeID {
 	arc := t.g.Arc(e)
 	u, v := arc.From, arc.To
 	deltaA := t.a[u] + arc.Weight - t.a[v]
-	deltaB := t.b[u] + 1 - t.b[v]
+	deltaB := t.b[u] + transit(arc, t.unit) - t.b[v]
 	t.unlinkChild(v)
 	t.treeArc[v] = e
 	t.linkChild(v)
@@ -204,10 +311,10 @@ func (t *paramTree) pivot(e graph.ArcID) []graph.NodeID {
 	return t.subtree
 }
 
-// cycleThrough returns the cycle formed by the tree path v ⤳ u plus the
-// arc e = (u, v), in forward order. u must be in the subtree of v (or equal
-// to v, for a self-loop).
-func (t *paramTree) cycleThrough(e graph.ArcID) []graph.ArcID {
+// result returns the outcome of a solve whose pivot e, at breakpoint key,
+// closes a cycle: the tree path v ⤳ u plus e = (u, v), in forward order,
+// and the breakpoint as the cycle's exact value.
+func (t *paramTree) result(e graph.ArcID, key frac, counts counter.Counts) Result {
 	arc := t.g.Arc(e)
 	u, v := arc.From, arc.To
 	var rev []graph.ArcID
@@ -221,7 +328,31 @@ func (t *paramTree) cycleThrough(e graph.ArcID) []graph.ArcID {
 		cycle = append(cycle, rev[i])
 	}
 	cycle = append(cycle, e)
-	return cycle
+	return Result{Mean: numeric.NewRat(key.num, key.den), Cycle: cycle, Exact: true, Counts: counts}
+}
+
+// setEntry brings the heap entry *node of value to key, or removes it when
+// !ok: a new entry is inserted, a smaller key decreased in place, and a
+// larger one deleted and re-inserted. KO keeps one entry per arc and YTO
+// one per node; both update it here.
+func setEntry(h pq.Heap[frac], node *pq.Node[frac], key frac, ok bool, value int32) {
+	switch {
+	case !ok:
+		if *node != nil {
+			h.Delete(*node)
+			*node = nil
+		}
+	case *node == nil:
+		*node = h.Insert(key, value)
+	default:
+		old := (*node).GetKey()
+		if fracLess(key, old) {
+			h.DecreaseKey(*node, key)
+		} else if fracLess(old, key) {
+			h.Delete(*node)
+			*node = h.Insert(key, value)
+		}
+	}
 }
 
 // koAlg is the Karp–Orlin parametric shortest path algorithm [Discrete
@@ -240,51 +371,40 @@ func (koAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 	if err := checkSolveInput(g); err != nil {
 		return Result{}, err
 	}
-	var counts counter.Counts
-	minW, _ := g.WeightRange()
+	return koRun(g, opt, true)
+}
+
+// KORatio is the Karp–Orlin algorithm on the cost-to-time ratio problem:
+// it returns ρ* = min Σw(C)/Σt(C) over the cycles C of a strongly connected
+// graph in Result.Mean, exact, with a cycle attaining it. It runs koAlg's
+// loop with b accumulating each arc's transit instead of 1. The caller
+// validates the transits: none negative and no cycle of zero total transit
+// (internal/ratio's checkInput). Weights need not fit the mean solvers'
+// ±(2^31−1): a graph whose exact path costs could overflow int64 is
+// reported as ErrNumericRange. The default pivot budget is n² + Σt + 16.
+func KORatio(g *graph.Graph, opt Options) (Result, error) { return koRun(g, opt, false) }
+
+// koRun is the one Karp–Orlin loop, behind koAlg.Solve and KORatio. unit
+// selects the transit view for the whole solve, as in howardRun.
+func koRun(g *graph.Graph, opt Options, unit bool) (Result, error) {
 	t := newParamTree(g)
-	t.initShortestTree(minW - 1)
-
-	h := pq.New[Frac](opt.HeapKind, fracLess, &counts)
-	arcNode := make([]pq.Node[Frac], g.NumArcs())
-
-	isTreeArc := func(id graph.ArcID) bool {
-		return t.treeArc[g.Arc(id).To] == id
+	if err := t.build(unit); err != nil {
+		return Result{}, err
 	}
+	var counts counter.Counts
+	h := pq.New[frac](opt.HeapKind, fracLess, &counts)
+	arcNode := make([]pq.Node[frac], g.NumArcs())
 	// refresh recomputes arc id's heap entry from the current tree.
 	refresh := func(id graph.ArcID) {
-		if isTreeArc(id) {
-			if arcNode[id] != nil {
-				h.Delete(arcNode[id])
-				arcNode[id] = nil
-			}
-			return
-		}
 		key, ok := t.breakpoint(id)
-		switch {
-		case !ok:
-			if arcNode[id] != nil {
-				h.Delete(arcNode[id])
-				arcNode[id] = nil
-			}
-		case arcNode[id] == nil:
-			arcNode[id] = h.Insert(key, int32(id))
-		default:
-			old := arcNode[id].GetKey()
-			if fracLess(key, old) {
-				h.DecreaseKey(arcNode[id], key)
-			} else if fracLess(old, key) {
-				h.Delete(arcNode[id])
-				arcNode[id] = h.Insert(key, int32(id))
-			}
-		}
+		ok = ok && t.treeArc[g.Arc(id).To] != id // tree arcs have no entry
+		setEntry(h, &arcNode[id], key, ok, int32(id))
 	}
-
 	for id := graph.ArcID(0); int(id) < g.NumArcs(); id++ {
 		refresh(id)
 	}
 
-	maxIter := opt.maxIter(g.NumNodes()*g.NumNodes() + 16)
+	maxIter := parametricMaxIter(g, opt, unit)
 	for iter := 0; iter < maxIter; iter++ {
 		if err := opt.checkpoint(); err != nil {
 			return Result{}, err
@@ -296,29 +416,14 @@ func (koAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 		counts.Iterations++
 		e := graph.ArcID(top.GetValue())
 		arcNode[e] = nil
-		key := top.GetKey()
-		arc := g.Arc(e)
-
-		// Does the pivot close a cycle? (u inside the subtree of v.)
-		t.collectSubtree(arc.To)
-		closes := t.inSub[arc.From]
-		t.releaseSubtree()
-		if closes {
-			cycle := t.cycleThrough(e)
-			return Result{
-				Mean:   numeric.NewRat(key.Num, key.Den),
-				Cycle:  cycle,
-				Exact:  true,
-				Counts: counts,
-			}, nil
+		if t.closes(e) {
+			return t.result(e, top.GetKey(), counts), nil
 		}
 
-		oldTree := t.treeArc[arc.To]
-		sub := t.pivot(e)
-		// Recompute keys of every arc with exactly one endpoint in the
-		// moved subtree, plus the two arcs that swapped tree status.
-		refresh(oldTree)
-		for _, x := range sub {
+		// Recompute the key of every arc with exactly one endpoint in the
+		// moved subtree. The arc that left the tree is among them: it
+		// enters v from outside the subtree.
+		for _, x := range t.pivot(e) {
 			for _, id := range g.OutArcs(x) {
 				if !t.inSub[g.Arc(id).To] {
 					refresh(id)
@@ -348,59 +453,42 @@ func (ytoAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 	if err := checkSolveInput(g); err != nil {
 		return Result{}, err
 	}
-	var counts counter.Counts
-	minW, _ := g.WeightRange()
+	return ytoRun(g, opt, true)
+}
+
+// YTORatio is the Young–Tarjan–Orlin algorithm on the cost-to-time ratio
+// problem, under the same contract as KORatio.
+func YTORatio(g *graph.Graph, opt Options) (Result, error) { return ytoRun(g, opt, false) }
+
+// ytoRun is the one Young–Tarjan–Orlin loop, behind ytoAlg.Solve and
+// YTORatio. unit selects the transit view for the whole solve, as in
+// howardRun.
+func ytoRun(g *graph.Graph, opt Options, unit bool) (Result, error) {
 	t := newParamTree(g)
-	t.initShortestTree(minW - 1)
-
-	h := pq.New[Frac](opt.HeapKind, fracLess, &counts)
+	if err := t.build(unit); err != nil {
+		return Result{}, err
+	}
+	var counts counter.Counts
+	h := pq.New[frac](opt.HeapKind, fracLess, &counts)
 	n := g.NumNodes()
-	nodeEntry := make([]pq.Node[Frac], n)
+	nodeEntry := make([]pq.Node[frac], n)
 	bestArc := make([]graph.ArcID, n)
-
-	// nodeKey recomputes node v's best incoming breakpoint.
-	nodeKey := func(v graph.NodeID) (Frac, graph.ArcID, bool) {
-		var (
-			best    Frac
-			bestID  graph.ArcID = -1
-			haveKey bool
-		)
+	// refreshNode recomputes node v's best incoming breakpoint and its
+	// heap entry.
+	refreshNode := func(v graph.NodeID) {
+		var best frac
+		bestID := graph.ArcID(-1)
 		for _, id := range g.InArcs(v) {
 			if t.treeArc[v] == id {
 				continue
 			}
-			key, ok := t.breakpoint(id)
-			if !ok {
-				continue
-			}
-			if !haveKey || fracLess(key, best) {
-				best, bestID, haveKey = key, id, true
+			if key, ok := t.breakpoint(id); ok && (bestID < 0 || fracLess(key, best)) {
+				best, bestID = key, id
 			}
 		}
-		return best, bestID, haveKey
+		bestArc[v] = bestID
+		setEntry(h, &nodeEntry[v], best, bestID >= 0, int32(v))
 	}
-	refreshNode := func(v graph.NodeID) {
-		key, id, ok := nodeKey(v)
-		bestArc[v] = id
-		switch {
-		case !ok:
-			if nodeEntry[v] != nil {
-				h.Delete(nodeEntry[v])
-				nodeEntry[v] = nil
-			}
-		case nodeEntry[v] == nil:
-			nodeEntry[v] = h.Insert(key, int32(v))
-		default:
-			old := nodeEntry[v].GetKey()
-			if fracLess(key, old) {
-				h.DecreaseKey(nodeEntry[v], key)
-			} else if fracLess(old, key) {
-				h.Delete(nodeEntry[v])
-				nodeEntry[v] = h.Insert(key, int32(v))
-			}
-		}
-	}
-
 	for v := graph.NodeID(0); int(v) < n; v++ {
 		refreshNode(v)
 	}
@@ -414,7 +502,7 @@ func (ytoAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 		}
 	}
 
-	maxIter := opt.maxIter(n*n + 16)
+	maxIter := parametricMaxIter(g, opt, unit)
 	for iter := 0; iter < maxIter; iter++ {
 		if err := opt.checkpoint(); err != nil {
 			return Result{}, err
@@ -426,28 +514,15 @@ func (ytoAlg) Solve(g *graph.Graph, opt Options) (Result, error) {
 		counts.Iterations++
 		v := graph.NodeID(top.GetValue())
 		nodeEntry[v] = nil
-		key := top.GetKey()
 		e := bestArc[v]
-		arc := g.Arc(e)
-
-		t.collectSubtree(arc.To)
-		closes := t.inSub[arc.From]
-		t.releaseSubtree()
-		if closes {
-			cycle := t.cycleThrough(e)
-			return Result{
-				Mean:   numeric.NewRat(key.Num, key.Den),
-				Cycle:  cycle,
-				Exact:  true,
-				Counts: counts,
-			}, nil
+		if t.closes(e) {
+			return t.result(e, top.GetKey(), counts), nil
 		}
 
-		sub := t.pivot(e)
 		// Affected nodes: every node in the subtree (all its incoming
 		// breakpoints moved) and every head of an arc leaving the subtree.
 		dirtyList = dirtyList[:0]
-		for _, x := range sub {
+		for _, x := range t.pivot(e) {
 			markDirty(x)
 			for _, id := range g.OutArcs(x) {
 				to := g.Arc(id).To

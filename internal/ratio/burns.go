@@ -123,7 +123,7 @@ func (burnsRatio) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 		}
 
 		if len(order) < n {
-			cycle, okc := criticalRatioCycleFrom(g, critical, order, n)
+			cycle, okc := core.CriticalCycleFrom(g, critical, order)
 			if okc {
 				counts.CyclesExamined++
 				if r, ok := cycleRatio(g, cycle); ok {
@@ -169,53 +169,4 @@ func (burnsRatio) Solve(g *graph.Graph, opt core.Options) (Result, error) {
 		}
 	}
 	return Result{}, ErrIterationLimit
-}
-
-// criticalRatioCycleFrom mirrors core's critical-cycle extraction: every
-// node Kahn could not remove has a critical predecessor among such nodes,
-// so walking predecessors revisits a node and closes a cycle. Kahn's
-// invariant guarantees the predecessor exists whenever the critical flags
-// are consistent with the order; ok=false reports the inconsistent case
-// (possible only through float-tolerance drift) so the caller can tighten
-// and retry instead of crashing.
-func criticalRatioCycleFrom(g *graph.Graph, critical []bool, order []graph.NodeID, n int) ([]graph.ArcID, bool) {
-	inOrder := make([]bool, n)
-	for _, v := range order {
-		inOrder[v] = true
-	}
-	pred := func(v graph.NodeID) graph.ArcID {
-		for _, id := range g.InArcs(v) {
-			if critical[id] && !inOrder[g.Arc(id).From] {
-				return id
-			}
-		}
-		return -1
-	}
-	var start graph.NodeID
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		if !inOrder[v] {
-			start = v
-			break
-		}
-	}
-	pos := make(map[graph.NodeID]int, 16)
-	var rev []graph.ArcID
-	v := start
-	for {
-		if at, seen := pos[v]; seen {
-			seg := rev[at:]
-			cycle := make([]graph.ArcID, len(seg))
-			for i, id := range seg {
-				cycle[len(seg)-1-i] = id
-			}
-			return cycle, true
-		}
-		pos[v] = len(rev)
-		id := pred(v)
-		if id < 0 {
-			return nil, false
-		}
-		rev = append(rev, id)
-		v = g.Arc(id).From
-	}
 }

@@ -199,3 +199,23 @@ func TestHowardMapsCoreErrors(t *testing.T) {
 		t.Errorf("out-of-range fixed point: err = %v, want ErrNumericRange", err)
 	}
 }
+
+// TestParametricMapsCoreErrors: ratio ko and yto run core's KO and YTO
+// through the adapter howard uses, so core's pivot cap and the ratio tree's
+// range guard reach ratio callers as ratio's sentinels.
+func TestParametricMapsCoreErrors(t *testing.T) {
+	// |w| = 2^40 on 2 nodes puts λ0 near −2^41 and path costs near 2^42·t.
+	big := graph.FromArcs(2, []graph.Arc{
+		{From: 0, To: 1, Weight: 1 << 40, Transit: 1 << 20},
+		{From: 1, To: 0, Weight: -1 << 40, Transit: 1},
+	})
+	for _, name := range []string{"ko", "yto"} {
+		algo := mustRatioAlgo(t, name)
+		if _, err := algo.Solve(stressGraph(t, 5), core.Options{MaxIterations: 1}); !errors.Is(err, ErrIterationLimit) {
+			t.Errorf("%s: one-pivot cap: err = %v, want ErrIterationLimit", name, err)
+		}
+		if _, err := algo.Solve(big, core.Options{}); !errors.Is(err, ErrNumericRange) {
+			t.Errorf("%s: overflowing initial tree: err = %v, want ErrNumericRange", name, err)
+		}
+	}
+}

@@ -1,454 +1,19 @@
 package ratio
 
-import (
-	"repro/internal/core"
-	"repro/internal/counter"
-	"repro/internal/graph"
-	"repro/internal/numeric"
-	"repro/internal/pq"
-)
+import "repro/internal/core"
 
-func init() {
-	register("ko", func() Algorithm { return koRatio{} })
-	register("yto", func() Algorithm { return ytoRatio{} })
-}
-
-// The parametric shortest path machinery generalizes from the mean problem
-// to the ratio problem by replacing "path length in arcs" with "path
-// transit time": distances in G_λ are d(v) = a(v) − λ·b(v) with a the path
+// ko and yto are the Karp–Orlin and Young–Tarjan–Orlin parametric
+// shortest-path algorithms in ratio form: core's one KO and one YTO run
+// through core.KORatio and core.YTORatio, with each arc's transit in place
+// of 1. A tree path's distance in G_λ is a(v) − λ·b(v), with a the path
 // weight and b the path transit, and a non-tree arc (u, v) becomes tight at
-// λ = (a(u)+w−a(v)) / (b(u)+t−b(v)). The Karp–Orlin and Young–Tarjan–Orlin
-// pivot processes carry over verbatim; a pivot that closes a cycle
-// terminates with ρ* equal to the breakpoint (exact rational). This is the
-// direction the paper notes is always available ("it is also possible to
-// solve MCRP using an algorithm for MCMP" and vice versa [Gondran &
-// Minoux]); here the parametric algorithms solve MCRP natively.
-
-type ratioTree struct {
-	g       *graph.Graph
-	a       []int64
-	b       []int64
-	treeArc []graph.ArcID
-
-	childHead, childNext, childPrev []int32
-	inSub                           []bool
-	subtree                         []graph.NodeID
-}
-
-func newRatioTree(g *graph.Graph) *ratioTree {
-	n := g.NumNodes()
-	t := &ratioTree{
-		g:         g,
-		a:         make([]int64, n),
-		b:         make([]int64, n),
-		treeArc:   make([]graph.ArcID, n),
-		childHead: make([]int32, n),
-		childNext: make([]int32, n),
-		childPrev: make([]int32, n),
-		inSub:     make([]bool, n),
-	}
-	for i := 0; i < n; i++ {
-		t.treeArc[i] = -1
-		t.childHead[i] = -1
-		t.childNext[i] = -1
-		t.childPrev[i] = -1
-	}
-	return t
-}
-
-// initShortestTree builds the lexicographic shortest path tree at the
-// integer λ0, below every cycle ratio. Zero-transit arcs can carry
-// negative reduced weights at any λ, so the tree is computed with a
-// lexicographic Bellman–Ford (cost = a − λ0·b exactly, ties broken toward
-// larger transit, which is the shorter path for λ slightly above λ0).
-func (t *ratioTree) initShortestTree(lambda0 int64) {
-	g := t.g
-	n := g.NumNodes()
-	const unreach = int64(1) << 62
-	cost := make([]int64, n)
-	for i := range cost {
-		cost[i] = unreach
-		t.a[i] = 0
-		t.b[i] = 0
-	}
-	cost[0] = 0
-	for pass := 0; pass < n; pass++ {
-		changed := false
-		for id := graph.ArcID(0); int(id) < g.NumArcs(); id++ {
-			arc := g.Arc(id)
-			if cost[arc.From] >= unreach {
-				continue
-			}
-			nc := cost[arc.From] + arc.Weight - lambda0*arc.Transit
-			nb := t.b[arc.From] + arc.Transit
-			if nc < cost[arc.To] || (nc == cost[arc.To] && nb > t.b[arc.To]) {
-				cost[arc.To] = nc
-				t.a[arc.To] = t.a[arc.From] + arc.Weight
-				t.b[arc.To] = nb
-				t.treeArc[arc.To] = id
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		if t.treeArc[v] >= 0 {
-			t.linkChild(v)
-		}
-	}
-}
-
-func (t *ratioTree) linkChild(v graph.NodeID) {
-	u := t.g.Arc(t.treeArc[v]).From
-	t.childNext[v] = t.childHead[u]
-	t.childPrev[v] = -1
-	if t.childHead[u] >= 0 {
-		t.childPrev[t.childHead[u]] = int32(v)
-	}
-	t.childHead[u] = int32(v)
-}
-
-func (t *ratioTree) unlinkChild(v graph.NodeID) {
-	u := t.g.Arc(t.treeArc[v]).From
-	if t.childPrev[v] >= 0 {
-		t.childNext[t.childPrev[v]] = t.childNext[v]
-	} else {
-		t.childHead[u] = t.childNext[v]
-	}
-	if t.childNext[v] >= 0 {
-		t.childPrev[t.childNext[v]] = t.childPrev[v]
-	}
-	t.childNext[v], t.childPrev[v] = -1, -1
-}
-
-func (t *ratioTree) collectSubtree(v graph.NodeID) {
-	t.subtree = t.subtree[:0]
-	t.subtree = append(t.subtree, v)
-	t.inSub[v] = true
-	for qi := 0; qi < len(t.subtree); qi++ {
-		u := t.subtree[qi]
-		for c := t.childHead[u]; c >= 0; c = t.childNext[c] {
-			t.inSub[c] = true
-			t.subtree = append(t.subtree, graph.NodeID(c))
-		}
-	}
-}
-
-func (t *ratioTree) releaseSubtree() {
-	for _, v := range t.subtree {
-		t.inSub[v] = false
-	}
-}
-
-func (t *ratioTree) breakpoint(id graph.ArcID) (core.Frac, bool) {
-	arc := t.g.Arc(id)
-	den := t.b[arc.From] + arc.Transit - t.b[arc.To]
-	if den <= 0 {
-		return core.Frac{}, false
-	}
-	return core.Frac{Num: t.a[arc.From] + arc.Weight - t.a[arc.To], Den: den}, true
-}
-
-func (t *ratioTree) pivot(e graph.ArcID) []graph.NodeID {
-	arc := t.g.Arc(e)
-	u, v := arc.From, arc.To
-	deltaA := t.a[u] + arc.Weight - t.a[v]
-	deltaB := t.b[u] + arc.Transit - t.b[v]
-	t.unlinkChild(v)
-	t.treeArc[v] = e
-	t.linkChild(v)
-	t.collectSubtree(v)
-	for _, x := range t.subtree {
-		t.a[x] += deltaA
-		t.b[x] += deltaB
-	}
-	return t.subtree
-}
-
-func (t *ratioTree) cycleThrough(e graph.ArcID) []graph.ArcID {
-	arc := t.g.Arc(e)
-	u, v := arc.From, arc.To
-	var rev []graph.ArcID
-	for x := u; x != v; {
-		id := t.treeArc[x]
-		rev = append(rev, id)
-		x = t.g.Arc(id).From
-	}
-	cycle := make([]graph.ArcID, 0, len(rev)+1)
-	for i := len(rev) - 1; i >= 0; i-- {
-		cycle = append(cycle, rev[i])
-	}
-	return append(cycle, e)
-}
-
-func fracLess(a, b core.Frac) bool {
-	return numeric.CmpFrac(a.Num, a.Den, b.Num, b.Den) < 0
-}
-
-// ratioParametricOverflows reports whether the parametric machinery's exact
-// int64 arithmetic can overflow on g: the initial tree is built at
-// λ0 = −(n·|w|max + 1), so reduced path costs accumulate up to
-// n·(|w|max + |λ0|·tmax). The estimate runs in float64 — it only needs to be
-// conservative, not exact.
-func ratioParametricOverflows(g *graph.Graph) bool {
-	minW, maxW := g.WeightRange()
-	absW := maxW
-	if -minW > absW {
-		absW = -minW
-	}
-	if absW < 1 {
-		absW = 1
-	}
-	_, maxT := g.TransitRange()
-	if maxT < 1 {
-		maxT = 1
-	}
-	n := float64(g.NumNodes())
-	lam := n*float64(absW) + 1
-	per := float64(absW) + lam*float64(maxT)
-	return n*per >= float64(int64(1)<<61)
-}
-
-// ratioLambda0 returns an integer strictly below every cycle ratio.
-func ratioLambda0(g *graph.Graph) int64 {
-	minW, maxW := g.WeightRange()
-	absW := maxW
-	if -minW > absW {
-		absW = -minW
-	}
-	// |ρ(C)| = |w(C)|/t(C) <= n·absW.
-	return -(int64(g.NumNodes())*absW + 1)
-}
-
-// koRatio is the Karp–Orlin parametric algorithm in ratio form (arc-keyed
-// heap).
-type koRatio struct{}
-
-func (koRatio) Name() string { return "ko" }
-
-func (koRatio) Solve(g *graph.Graph, opt core.Options) (Result, error) {
-	if err := checkInput(g); err != nil {
-		return Result{}, err
-	}
-	if ratioParametricOverflows(g) {
-		return Result{}, ErrNumericRange
-	}
-	var counts counter.Counts
-	t := newRatioTree(g)
-	t.initShortestTree(ratioLambda0(g))
-
-	h := pq.New[core.Frac](opt.HeapKind, fracLess, &counts)
-	arcNode := make([]pq.Node[core.Frac], g.NumArcs())
-
-	isTreeArc := func(id graph.ArcID) bool {
-		return t.treeArc[g.Arc(id).To] == id
-	}
-	refresh := func(id graph.ArcID) {
-		if isTreeArc(id) {
-			if arcNode[id] != nil {
-				h.Delete(arcNode[id])
-				arcNode[id] = nil
-			}
-			return
-		}
-		key, ok := t.breakpoint(id)
-		switch {
-		case !ok:
-			if arcNode[id] != nil {
-				h.Delete(arcNode[id])
-				arcNode[id] = nil
-			}
-		case arcNode[id] == nil:
-			arcNode[id] = h.Insert(key, int32(id))
-		default:
-			old := arcNode[id].GetKey()
-			if fracLess(key, old) {
-				h.DecreaseKey(arcNode[id], key)
-			} else if fracLess(old, key) {
-				h.Delete(arcNode[id])
-				arcNode[id] = h.Insert(key, int32(id))
-			}
-		}
-	}
-	for id := graph.ArcID(0); int(id) < g.NumArcs(); id++ {
-		refresh(id)
-	}
-
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = g.NumNodes()*g.NumNodes() + int(g.TotalTransit()) + 16
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		if opt.Canceled() {
-			return Result{}, core.ErrCanceled
-		}
-		top := h.ExtractMin()
-		if top == nil {
-			return Result{}, ErrAcyclic
-		}
-		counts.Iterations++
-		e := graph.ArcID(top.GetValue())
-		arcNode[e] = nil
-		key := top.GetKey()
-		arc := g.Arc(e)
-
-		t.collectSubtree(arc.To)
-		closes := t.inSub[arc.From]
-		t.releaseSubtree()
-		if closes {
-			cycle := t.cycleThrough(e)
-			return Result{
-				Ratio:  numeric.NewRat(key.Num, key.Den),
-				Cycle:  cycle,
-				Exact:  true,
-				Counts: counts,
-			}, nil
-		}
-
-		sub := t.pivot(e)
-		for _, x := range sub {
-			for _, id := range g.OutArcs(x) {
-				if !t.inSub[g.Arc(id).To] {
-					refresh(id)
-				}
-			}
-			for _, id := range g.InArcs(x) {
-				if !t.inSub[g.Arc(id).From] {
-					refresh(id)
-				}
-			}
-		}
-		t.releaseSubtree()
-	}
-	return Result{}, ErrIterationLimit
-}
-
-// ytoRatio is the Young–Tarjan–Orlin refinement in ratio form (node-keyed
-// heap).
-type ytoRatio struct{}
-
-func (ytoRatio) Name() string { return "yto" }
-
-func (ytoRatio) Solve(g *graph.Graph, opt core.Options) (Result, error) {
-	if err := checkInput(g); err != nil {
-		return Result{}, err
-	}
-	if ratioParametricOverflows(g) {
-		return Result{}, ErrNumericRange
-	}
-	var counts counter.Counts
-	t := newRatioTree(g)
-	t.initShortestTree(ratioLambda0(g))
-
-	n := g.NumNodes()
-	h := pq.New[core.Frac](opt.HeapKind, fracLess, &counts)
-	nodeEntry := make([]pq.Node[core.Frac], n)
-	bestArc := make([]graph.ArcID, n)
-
-	nodeKey := func(v graph.NodeID) (core.Frac, graph.ArcID, bool) {
-		var (
-			best    core.Frac
-			bestID  graph.ArcID = -1
-			haveKey bool
-		)
-		for _, id := range g.InArcs(v) {
-			if t.treeArc[v] == id {
-				continue
-			}
-			key, ok := t.breakpoint(id)
-			if !ok {
-				continue
-			}
-			if !haveKey || fracLess(key, best) {
-				best, bestID, haveKey = key, id, true
-			}
-		}
-		return best, bestID, haveKey
-	}
-	refreshNode := func(v graph.NodeID) {
-		key, id, ok := nodeKey(v)
-		bestArc[v] = id
-		switch {
-		case !ok:
-			if nodeEntry[v] != nil {
-				h.Delete(nodeEntry[v])
-				nodeEntry[v] = nil
-			}
-		case nodeEntry[v] == nil:
-			nodeEntry[v] = h.Insert(key, int32(v))
-		default:
-			old := nodeEntry[v].GetKey()
-			if fracLess(key, old) {
-				h.DecreaseKey(nodeEntry[v], key)
-			} else if fracLess(old, key) {
-				h.Delete(nodeEntry[v])
-				nodeEntry[v] = h.Insert(key, int32(v))
-			}
-		}
-	}
-	for v := graph.NodeID(0); int(v) < n; v++ {
-		refreshNode(v)
-	}
-
-	dirty := make([]bool, n)
-	var dirtyList []graph.NodeID
-	markDirty := func(v graph.NodeID) {
-		if !dirty[v] {
-			dirty[v] = true
-			dirtyList = append(dirtyList, v)
-		}
-	}
-
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = n*n + int(g.TotalTransit()) + 16
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		if opt.Canceled() {
-			return Result{}, core.ErrCanceled
-		}
-		top := h.ExtractMin()
-		if top == nil {
-			return Result{}, ErrAcyclic
-		}
-		counts.Iterations++
-		v := graph.NodeID(top.GetValue())
-		nodeEntry[v] = nil
-		key := top.GetKey()
-		e := bestArc[v]
-		arc := g.Arc(e)
-
-		t.collectSubtree(arc.To)
-		closes := t.inSub[arc.From]
-		t.releaseSubtree()
-		if closes {
-			cycle := t.cycleThrough(e)
-			return Result{
-				Ratio:  numeric.NewRat(key.Num, key.Den),
-				Cycle:  cycle,
-				Exact:  true,
-				Counts: counts,
-			}, nil
-		}
-
-		sub := t.pivot(e)
-		dirtyList = dirtyList[:0]
-		for _, x := range sub {
-			markDirty(x)
-			for _, id := range g.OutArcs(x) {
-				to := g.Arc(id).To
-				if !t.inSub[to] {
-					markDirty(to)
-				}
-			}
-		}
-		t.releaseSubtree()
-		for _, x := range dirtyList {
-			dirty[x] = false
-			refreshNode(x)
-		}
-	}
-	return Result{}, ErrIterationLimit
+// λ = (a(u)+w−a(v)) / (b(u)+t−b(v)); a pivot that closes a cycle terminates
+// with ρ* equal to the breakpoint (exact rational). This is the direction
+// the paper notes is always available ("it is also possible to solve MCRP
+// using an algorithm for MCMP" and vice versa [Gondran & Minoux]); here the
+// parametric algorithms solve MCRP natively (docs/ALGORITHMS.md, "ko /
+// yto").
+func init() {
+	register("ko", func() Algorithm { return coreAlg{"ko", core.KORatio} })
+	register("yto", func() Algorithm { return coreAlg{"yto", core.YTORatio} })
 }

@@ -1,8 +1,9 @@
 // Package ratio implements the minimum cost-to-time ratio problem (MCRP):
-// ten engines behind one Algorithm interface. Howard's policy iteration
-// (core's one Howard, in ratio form), Lawler's bisection and Burns'
-// primal-dual method are the DAC'99 study's algorithms in their full ratio
-// form; KO and YTO are the parametric shortest-path algorithms;
+// ten engines behind one Algorithm interface. Howard's policy iteration and
+// the KO and YTO parametric shortest-path algorithms are adapters over
+// core's one Howard, KO and YTO, run in ratio form (core.HowardRatio,
+// core.KORatio, core.YTORatio); Lawler's bisection and Burns' primal-dual
+// method are the DAC'99 study's algorithms in their full ratio form;
 // "expand" is the classical transit-time-expansion reduction to the
 // minimum mean problem (the Hartmann–Orlin O(Tm) approach); Megiddo's
 // parametric search, Dinkelbach's iteration, the Stern–Brocot mediant
@@ -192,6 +193,34 @@ type engine struct{ Algorithm }
 func (e engine) Solve(g *graph.Graph, opt core.Options) (core.Result, error) {
 	r, err := e.Algorithm.Solve(g, opt)
 	return core.Result{Mean: r.Ratio, Cycle: r.Cycle, Exact: r.Exact, Counts: r.Counts}, err
+}
+
+// coreAlg presents one of core's ratio-form engines (core.HowardRatio,
+// core.KORatio, core.YTORatio) as a ratio Algorithm: it validates the input
+// and translates the result and core's error sentinels.
+type coreAlg struct {
+	name  string
+	solve func(*graph.Graph, core.Options) (core.Result, error)
+}
+
+func (a coreAlg) Name() string { return a.name }
+
+func (a coreAlg) Solve(g *graph.Graph, opt core.Options) (Result, error) {
+	if err := checkInput(g); err != nil {
+		return Result{}, err
+	}
+	r, err := a.solve(g, opt)
+	switch {
+	case err == nil:
+		return fromCore(r), nil
+	case errors.Is(err, core.ErrNumericRange):
+		return Result{}, fmt.Errorf("%w (%v)", ErrNumericRange, err)
+	case errors.Is(err, core.ErrIterationLimit):
+		return Result{}, ErrIterationLimit
+	case errors.Is(err, core.ErrAcyclic):
+		return Result{}, ErrAcyclic
+	}
+	return Result{}, err // core.ErrCanceled passes through
 }
 
 // fromCore is the Result adapter back from core's ratio form.
